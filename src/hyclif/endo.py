@@ -139,7 +139,7 @@ class HEndo:
 
     def adjoint(self) -> HEndo:
         """Dual with respect to the neutral pairing: G^-1 F^T G with G the Witt Gram."""
-        g = [[ONE if v else ZERO for v in row] for row in self.context._gram_int]
+        g = self.context.gram
         ft = linalg.transpose(self.rows())
         return HEndo(self.context, _rows_to_tuple(linalg.mat_mul(linalg.mat_mul(g, ft), g)))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+from weakref import WeakKeyDictionary
 
 from . import linalg
 from .hyperspace import (
@@ -21,7 +22,7 @@ from .hyperspace import (
     vec_pairing,
     witt_basis,
 )
-from .multivector import AlgebraContext, Multivector, lcontract, wedge
+from .multivector import AlgebraContext, Multivector, _left_terms, lcontract, wedge
 from .scalar import ONE, SQRT2, ZERO, Scalar
 
 MAX_END_ISO_DIM = 3  # rank of a 4^n x 4^n exact matrix beyond this is refused
@@ -134,8 +135,9 @@ def clifford_map_matrix(ctx: AlgebraContext, x: Vecfor) -> FockMatrix:
 
 
 class _RepCache:
+    # holds no reference to its context, which keys it weakly in _rep_caches
     def __init__(self, ctx: AlgebraContext) -> None:
-        self.ctx = ctx
+        self.dim_n = ctx.dim_n
         self.generators = [
             clifford_map_matrix(ctx, v).rows() for v in witt_basis(ctx)
         ]
@@ -150,21 +152,20 @@ class _RepCache:
         rest = mask ^ low
         # rep(x ^ A) = rep(x) rep(A) - rep(x _| A)
         out = linalg.mat_mul(self.generators[g], self.blade(rest))
-        for m2, c2 in self.ctx._gen_lc(g, rest):
+        for m2, c2 in _left_terms(low, rest, self.dim_n):
             term = self.blade(m2)
             out = linalg.mat_add(out, linalg.mat_scale(term, Scalar(-c2)))
         self.blades[mask] = out
         return out
 
 
-_rep_caches: dict[int, _RepCache] = {}
+_rep_caches: WeakKeyDictionary[AlgebraContext, _RepCache] = WeakKeyDictionary()
 
 
 def _rep_cache(ctx: AlgebraContext) -> _RepCache:
-    cache = _rep_caches.get(id(ctx))
-    if cache is None or cache.ctx is not ctx:
-        cache = _RepCache(ctx)
-        _rep_caches[id(ctx)] = cache
+    cache = _rep_caches.get(ctx)
+    if cache is None:
+        cache = _rep_caches[ctx] = _RepCache(ctx)
     return cache
 
 

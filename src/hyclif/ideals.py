@@ -266,10 +266,17 @@ def spinor_to_json(rep: SpinorRep) -> dict:
 
 
 def spinor_from_json(ctx: AlgebraContext, obj: dict) -> SpinorRep:
+    """Inverse of spinor_to_json; a missing grade key reads as zero.
+
+    Raises ValueError on an unknown key or a grade list of the wrong length.
+    """
     n = ctx.dim_n
+    keys = {_grade_key(n, r): r for r in range(n + 1)}
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown spinor keys at n={n}: {unknown}; expected {sorted(keys)}")
     comps: dict[tuple[int, ...], Scalar] = {}
-    for r in range(n + 1):
-        key = _grade_key(n, r)
+    for key, r in keys.items():
         if key not in obj:
             continue
         if key == "s":
@@ -277,6 +284,12 @@ def spinor_from_json(ctx: AlgebraContext, obj: dict) -> SpinorRep:
         elif key == "p":
             comps[tuple(range(1, n + 1))] = Scalar.from_json(obj[key])
         else:
-            for idx, val in zip(combinations(range(1, n + 1), r), obj[key]):
+            indices = list(combinations(range(1, n + 1), r))
+            vals = obj[key]
+            if not isinstance(vals, list) or len(vals) != len(indices):
+                raise ValueError(
+                    f"spinor key {key!r} at n={n} needs a list of {len(indices)} values"
+                )
+            for idx, val in zip(indices, vals):
                 comps[idx] = Scalar.from_json(val)
     return SpinorRep(ctx, comps)

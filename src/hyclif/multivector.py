@@ -6,9 +6,12 @@ A basis blade is a canonically ordered wedge of generators encoded as a 2n-bit
 mask (bit k-1 = e_k, bit n+k-1 = t_k); a multivector is a sparse map from
 blade masks to Scalars.
 
-The geometric product is built by recursive peeling: for a generator x and a
-blade remainder A, (x ^ A) u = x (A u) - (x _| A) u, with the grade-1 base
-case x u = x _| u + x ^ u.  Blade-by-blade results are memoized per context.
+The Witt basis splits V + V* into n hyperbolic pairs (e_i, t_i), so the
+algebra is the graded tensor product of n copies of Cl(1,1).  Blade products
+are therefore computed in closed form, pair by pair, straight from the two
+masks; nothing is memoized.  The contractions are grade parts of that product
+(a _| b = <ab>_{|b|-|a|}, a |_ b = <ab>_{|a|-|b|}), and the pairing of two
+blades is a sign read off the masks.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from typing import Iterator, Union
 
 from .scalar import ONE, ZERO, Scalar, format_scalar
 
-MAX_DIM = 14  # masks fit in 28 bits and memo tables stay bounded
+MAX_DIM = 14  # masks fit in 28 bits, the width _odd_swaps covers
 
-BladeTable = tuple[tuple[int, int], ...]  # (mask, integer coefficient) pairs
+BladeTerms = tuple[tuple[int, int], ...]  # (mask, sign) pairs
 
 ScalarLike = Union[Scalar, int, Fraction]
 
@@ -33,22 +36,113 @@ def grade_of(mask: int) -> int:
     return mask.bit_count()
 
 
-def _merge_sign(a: int, b: int) -> int:
-    """Sign of reordering the concatenation of blades a and b into mask order."""
-    sign = 0
-    while b:
-        low = b & -b
-        sign += (a >> low.bit_length()).bit_count()
-        b ^= low
-    return -1 if sign & 1 else 1
+def _odd_swaps(a: int, b: int) -> int:
+    """Parity of the pairs (i in a, j in b) with i > j.
+
+    This is the sign exponent of sorting the concatenation of blades a and b
+    into mask order.  Bit j of the suffix xor of a >> 1 is the parity of the
+    bits of a above j; the shifts cover 32 bits.
+    """
+    s = a >> 1
+    s ^= s >> 1
+    s ^= s >> 2
+    s ^= s >> 4
+    s ^= s >> 8
+    s ^= s >> 16
+    return (s & b).bit_count() & 1
+
+
+def _witt_factors(a: int, b: int, n: int) -> tuple[int, int, int, int, int] | None:
+    """The blade product a b factored over the Witt pairs, or None when it is 0.
+
+    Reordered into pair order (e1 t1 e2 t2 ...), a b is the graded product of
+    one Cl(1,1) product per pair, on the basis {1, e, t, E = e ^ t}:
+
+        e e = t t = 0,  e t = 1 + E,  t e = 1 - E,
+        e E = -e,  t E = t,  E e = e,  E t = -t,  E E = 1.
+
+    Returns (re, rt, fork, te, odd).  `fork` holds the pairs e t and t e, the
+    only ones with two terms, and `te` the t e among them.  Contracting a
+    subset s of fork to 1 gives the term with e-bits re ^ s and t-bits rt ^ s
+    (E kept on the rest of fork), of sign exponent
+    odd + |te - s| + _odd_swaps(re ^ s, rt ^ s).
+    """
+    low = (1 << n) - 1
+    ae, at, be, bt = a & low, a >> n, b & low, b >> n
+    if ae & be & ~(at | bt) or at & bt & ~(ae | be):
+        return None
+    # a pair keeps e where a and b hold more e's than t's there, t likewise,
+    # and E where they hold one of each
+    x, y = ae ^ be, at ^ bt
+    e2, t2 = ae & be, at & bt
+    re = (x & ~t2) | (e2 & y)
+    rt = (y & ~e2) | (t2 & x)
+    fork = x & y & ~(ae & at) & ~(be & bt)
+    te = fork & at
+    # a and b to pair order, b's pairs past a's later pairs, e E and E t
+    odd = (
+        _odd_swaps(ae, at)
+        + _odd_swaps(be, bt)
+        + _odd_swaps(ae ^ at, be ^ bt)
+        + (ae & bt & (at ^ be)).bit_count()
+    )
+    return re, rt, fork, te, odd
+
+
+def _product_terms(a: int, b: int, n: int) -> BladeTerms:
+    """Signed blade terms of the geometric product a b."""
+    factors = _witt_factors(a, b, n)
+    if factors is None:
+        return ()
+    re, rt, fork, te, odd = factors
+    out = []
+    s = fork
+    while True:  # every subset s of fork
+        e, t = re ^ s, rt ^ s
+        parity = odd + (te & ~s).bit_count() + _odd_swaps(e, t)
+        out.append((e | t << n, -1 if parity & 1 else 1))
+        if not s:
+            return tuple(out)
+        s = (s - 1) & fork
+
+
+def _contraction_terms(a: int, b: int, n: int, grade: int) -> BladeTerms:
+    """The grade part of a b at the lowest grade it can have, |a| - |b| or |b| - |a|.
+
+    Only the term with every fork pair contracted has that grade.
+    """
+    if grade < 0:
+        return ()
+    factors = _witt_factors(a, b, n)
+    if factors is None:
+        return ()
+    re, rt, fork, _, odd = factors
+    e, t = re ^ fork, rt ^ fork
+    if e.bit_count() + t.bit_count() != grade:
+        return ()
+    return ((e | t << n, -1 if (odd + _odd_swaps(e, t)) & 1 else 1),)
+
+
+def _left_terms(a: int, b: int, n: int) -> BladeTerms:
+    return _contraction_terms(a, b, n, b.bit_count() - a.bit_count())
+
+
+def _right_terms(a: int, b: int, n: int) -> BladeTerms:
+    return _contraction_terms(a, b, n, a.bit_count() - b.bit_count())
+
+
+def _wedge_terms(a: int, b: int, n: int) -> BladeTerms:
+    if a & b:
+        return ()
+    return ((a | b, -1 if _odd_swaps(a, b) else 1),)
 
 
 class AlgebraContext:
-    """Dimension-n algebra context: Witt Gram matrix plus product memos.
+    """Dimension-n algebra context: the Witt Gram matrix and the basis masks.
 
-    All values built from a context are immutable and all operations are
-    pure; a context can be shared between threads (memo writes are idempotent
-    inserts of values that depend only on their key).
+    A context holds no per-product state, all values built from it are
+    immutable and all operations are pure, so a context can be shared
+    between threads without locking.
     """
 
     def __init__(self, dim_n: int) -> None:
@@ -57,17 +151,12 @@ class AlgebraContext:
         self.dim_n = dim_n
         g = dim_n * 2
         self.num_generators = g
-        self._gram_int = [[1 if abs(i - j) == dim_n else 0 for j in range(g)] for i in range(g)]
         self.gram: list[list[Scalar]] = [
-            [ONE if v else ZERO for v in row] for row in self._gram_int
+            [ONE if abs(i - j) == dim_n else ZERO for j in range(g)] for i in range(g)
         ]
         self.full_mask = (1 << g) - 1
         self.e_star_mask = (1 << dim_n) - 1
         self.theta_star_mask = self.full_mask ^ self.e_star_mask
-        self._gp_memo: dict[tuple[int, int], BladeTable] = {}
-        self._lc_memo: dict[tuple[int, int], BladeTable] = {}
-        self._rc_memo: dict[tuple[int, int], BladeTable] = {}
-        self._pairing_memo: dict[tuple[int, int], int] = {}
 
     # -- naming ------------------------------------------------------------
 
@@ -145,147 +234,8 @@ class AlgebraContext:
                 out[mask] = out[mask] + s if mask in out else s
         return Multivector(self, {m: c for m, c in out.items() if c})
 
-    # -- generator-level kernels (integer blade tables) ----------------------
-
-    def _pairing(self, a: int, b: int) -> int:
-        return self._gram_int[a][b]
-
-    def _gen_lc(self, g: int, mask: int) -> list[tuple[int, int]]:
-        # x _| (b1 ^ ... ^ bs) = sum_k (-1)^(k-1) <x, b_k> b1 ^ ... (omit k) ... ^ bs
-        out = []
-        sign = 1
-        rest = mask
-        while rest:
-            low = rest & -rest
-            k = low.bit_length() - 1
-            pair = self._gram_int[g][k]
-            if pair:
-                out.append((mask ^ low, sign * pair))
-            sign = -sign
-            rest ^= low
-        return out
-
-    def _gen_rc(self, mask: int, g: int) -> list[tuple[int, int]]:
-        # (b1 ^ ... ^ bs) |_ x = sum_k (-1)^(s-k) <b_k, x> b1 ^ ... (omit k) ... ^ bs
-        out = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            k = low.bit_length() - 1
-            pair = self._gram_int[k][g]
-            if pair:
-                above = (mask >> low.bit_length()).bit_count()
-                out.append((mask ^ low, -pair if above & 1 else pair))
-            rest ^= low
-        return out
-
-    def _blade_lc(self, a: int, b: int) -> BladeTable:
-        # (a1 ^ rest) _| b = a1 _| (rest _| b); lowest generator applied last
-        memo = self._lc_memo
-        hit = memo.get((a, b))
-        if hit is not None:
-            return hit
-        if a == 0:
-            table: BladeTable = ((b, 1),)
-        else:
-            low = a & -a
-            inner = self._blade_lc(a ^ low, b)
-            g = low.bit_length() - 1
-            acc: dict[int, int] = {}
-            for mask, coeff in inner:
-                for m2, c2 in self._gen_lc(g, mask):
-                    acc[m2] = acc.get(m2, 0) + coeff * c2
-            table = tuple((m, c) for m, c in acc.items() if c)
-        memo[(a, b)] = table
-        return table
-
-    def _blade_rc(self, b: int, a: int) -> BladeTable:
-        # b |_ (rest ^ ahigh) = (b |_ rest) |_ ahigh; highest generator applied last
-        memo = self._rc_memo
-        hit = memo.get((b, a))
-        if hit is not None:
-            return hit
-        if a == 0:
-            table: BladeTable = ((b, 1),)
-        else:
-            high = 1 << (a.bit_length() - 1)
-            inner = self._blade_rc(b, a ^ high)
-            g = high.bit_length() - 1
-            acc: dict[int, int] = {}
-            for mask, coeff in inner:
-                for m2, c2 in self._gen_rc(mask, g):
-                    acc[m2] = acc.get(m2, 0) + coeff * c2
-            table = tuple((m, c) for m, c in acc.items() if c)
-        memo[(b, a)] = table
-        return table
-
-    def _blade_gp(self, a: int, b: int) -> BladeTable:
-        # (x ^ A) u = x (A u) - (x _| A) u, base case: generator times blade
-        memo = self._gp_memo
-        hit = memo.get((a, b))
-        if hit is not None:
-            return hit
-        if a == 0:
-            table: BladeTable = ((b, 1),)
-        else:
-            low = a & -a
-            g = low.bit_length() - 1
-            rest = a ^ low
-            acc: dict[int, int] = {}
-            for mask, coeff in self._blade_gp(rest, b):
-                # x times blade = x _| blade + x ^ blade
-                for m2, c2 in self._gen_lc(g, mask):
-                    acc[m2] = acc.get(m2, 0) + coeff * c2
-                if not mask & low:
-                    s = -1 if (mask & (low - 1)).bit_count() & 1 else 1
-                    m2 = mask | low
-                    acc[m2] = acc.get(m2, 0) + coeff * s
-            for mask, coeff in self._gen_lc(g, rest):
-                for m2, c2 in self._blade_gp(mask, b):
-                    acc[m2] = acc.get(m2, 0) - coeff * c2
-            table = tuple((m, c) for m, c in acc.items() if c)
-        memo[(a, b)] = table
-        return table
-
-    def _blade_pairing(self, a: int, b: int) -> int:
-        """Gram-determinant pairing of two basis blades (an integer here)."""
-        if a.bit_count() != b.bit_count():
-            return 0
-        key = (a, b)
-        hit = self._pairing_memo.get(key)
-        if hit is not None:
-            return hit
-        gens_a = [g for g in range(self.num_generators) if a >> g & 1]
-        gens_b = [g for g in range(self.num_generators) if b >> g & 1]
-        m = [[Fraction(self._gram_int[i][j]) for j in gens_b] for i in gens_a]
-        det = _fraction_det(m)
-        val = int(det)
-        self._pairing_memo[key] = val
-        return val
-
     def __repr__(self) -> str:
         return f"AlgebraContext(dim_n={self.dim_n})"
-
-
-def _fraction_det(m: list[list[Fraction]]) -> Fraction:
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    det = Fraction(1)
-    a = [row[:] for row in m]
-    for c in range(n):
-        p = next((i for i in range(c, n) if a[i][c]), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            det = -det
-        det *= a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] / a[c][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return det
 
 
 def _require_same_context(u: Multivector, v: Multivector) -> None:
@@ -491,79 +441,61 @@ class Multivector:
 # -- the operations -------------------------------------------------------------
 
 
-def wedge(u: Multivector, v: Multivector) -> Multivector:
-    """Exterior product; overlapping blades annihilate, disjoint ones merge."""
+def _extend(u: Multivector, v: Multivector, blade_terms) -> Multivector:
+    """Bilinear extension of a blade-level product given as signed terms."""
     _require_same_context(u, v)
+    ctx = u.context
+    n = ctx.dim_n
     acc: dict[int, Scalar] = {}
     for ma, ca in u.terms.items():
         for mb, cb in v.terms.items():
-            if ma & mb:
+            terms = blade_terms(ma, mb, n)
+            if not terms:
                 continue
-            m = ma | mb
-            c = ca * cb
-            if _merge_sign(ma, mb) < 0:
-                c = -c
-            prev = acc.get(m)
-            acc[m] = c if prev is None else prev + c
-    return Multivector(u.context, acc)
+            cab = ca * cb
+            for m, sign in terms:
+                add = cab if sign > 0 else -cab
+                prev = acc.get(m)
+                acc[m] = add if prev is None else prev + add
+    return Multivector(ctx, acc)
+
+
+def wedge(u: Multivector, v: Multivector) -> Multivector:
+    """Exterior product; overlapping blades annihilate, disjoint ones merge."""
+    return _extend(u, v, _wedge_terms)
 
 
 def bilinear(u: Multivector, v: Multivector) -> Scalar:
-    """Canonical symmetric pairing: Gram determinant on blades, grades orthogonal."""
+    """Canonical symmetric pairing, grades orthogonal.
+
+    <a, b> of two blades is nonzero only when b is a with its e-half and
+    t-half swapped, and then it is (-1)^(|a_e| |a_t|).
+    """
     _require_same_context(u, v)
-    ctx = u.context
+    n = u.context.dim_n
+    low = (1 << n) - 1
     out = ZERO
     for ma, ca in u.terms.items():
-        for mb, cb in v.terms.items():
-            d = ctx._blade_pairing(ma, mb)
-            if d:
-                out = out + ca * cb * d
+        cb = v.terms.get(ma >> n | (ma & low) << n)
+        if cb is not None:
+            c = ca * cb
+            out = out + (-c if ((ma & low).bit_count() * (ma >> n).bit_count()) & 1 else c)
     return out
 
 
 def lcontract(u: Multivector, v: Multivector) -> Multivector:
     """Left contraction u _| v (adjoint of the wedge in the first slot)."""
-    _require_same_context(u, v)
-    ctx = u.context
-    acc: dict[int, Scalar] = {}
-    for ma, ca in u.terms.items():
-        for mb, cb in v.terms.items():
-            cab = ca * cb
-            for m2, c2 in ctx._blade_lc(ma, mb):
-                prev = acc.get(m2)
-                add = cab * c2
-                acc[m2] = add if prev is None else prev + add
-    return Multivector(ctx, acc)
+    return _extend(u, v, _left_terms)
 
 
 def rcontract(u: Multivector, v: Multivector) -> Multivector:
     """Right contraction u |_ v (adjoint of the wedge in the second slot)."""
-    _require_same_context(u, v)
-    ctx = u.context
-    acc: dict[int, Scalar] = {}
-    for ma, ca in u.terms.items():
-        for mb, cb in v.terms.items():
-            cab = ca * cb
-            for m2, c2 in ctx._blade_rc(ma, mb):
-                prev = acc.get(m2)
-                add = cab * c2
-                acc[m2] = add if prev is None else prev + add
-    return Multivector(ctx, acc)
+    return _extend(u, v, _right_terms)
 
 
 def gp(u: Multivector, v: Multivector) -> Multivector:
     """Geometric (Clifford) product, associative extension of x u = x _| u + x ^ u."""
-    _require_same_context(u, v)
-    ctx = u.context
-    acc: dict[int, Scalar] = {}
-    for ma, ca in u.terms.items():
-        for mb, cb in v.terms.items():
-            cab = ca * cb
-            for m2, c2 in ctx._blade_gp(ma, mb):
-                prev = acc.get(m2)
-                add = cab * c2
-                acc[m2] = add if prev is None else prev + add
-    return Multivector(ctx, acc)
+    return _extend(u, v, _product_terms)
 
 
 def grade_part(u: Multivector, r: int) -> Multivector:

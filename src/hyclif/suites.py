@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
+from weakref import WeakKeyDictionary
 
 from . import linalg
 from .endo import (
@@ -61,6 +62,7 @@ from .hyperspace import (
     witt_basis,
 )
 from .ideals import (
+    IdealBasis,
     conjugated_module_action,
     e_star,
     ideal_span,
@@ -1282,15 +1284,16 @@ def _ideal_left_closure(ctx, rng):
     return None
 
 
-_IDEAL_CACHE: dict[int, object] = {}
+# span coefficients of the theta* ideal; a cached value that referenced its
+# context would keep the weak key alive
+_IDEAL_CACHE: WeakKeyDictionary[AlgebraContext, tuple[dict, ...]] = WeakKeyDictionary()
 
 
 def _ideal_basis_cached(ctx):
-    hit = _IDEAL_CACHE.get(id(ctx))
-    if hit is None or hit.generator.context is not ctx:
-        hit = ideal_span(theta_star(ctx))
-        _IDEAL_CACHE[id(ctx)] = hit
-    return hit
+    span = _IDEAL_CACHE.get(ctx)
+    if span is None:
+        span = _IDEAL_CACHE[ctx] = tuple(mv.terms for mv in ideal_span(theta_star(ctx)).span)
+    return IdealBasis(theta_star(ctx), tuple(Multivector(ctx, terms) for terms in span))
 
 
 @identity("ideals", "module action equals x_vec ^ u + 2 (x_form _| u)", max_n=MAX_RANK_SUITE_DIM)

@@ -135,6 +135,28 @@ def test_spinor_json_schema(ctx2):
     assert spinor_from_json(ctx2, payload).components == rep.components
 
 
+def test_spinor_json_rejects_short_list(ctx2):
+    payload = spinor_to_json(SpinorRep(ctx2, {(1,): ONE}))
+    payload["v"] = payload["v"][:1]
+    with pytest.raises(ValueError):
+        spinor_from_json(ctx2, payload)
+
+
+def test_spinor_json_rejects_long_list():
+    ctx = AlgebraContext(3)
+    payload = spinor_to_json(SpinorRep(ctx, {(1,): ONE}))
+    payload["v"] = payload["v"] + [Scalar(5).to_json()] * 2
+    with pytest.raises(ValueError):
+        spinor_from_json(ctx, payload)
+
+
+def test_spinor_json_rejects_unknown_key(ctx2):
+    payload = spinor_to_json(SpinorRep(ctx2, {(1,): ONE}))
+    payload["p"] = ONE.to_json()  # the top grade of n=2 is keyed "f"
+    with pytest.raises(ValueError):
+        spinor_from_json(ctx2, payload)
+
+
 def test_spinor_json_keys_n3():
     ctx = AlgebraContext(3)
     rep = SpinorRep(ctx, {(1, 2, 3): ONE, (1, 3): Scalar(2)})

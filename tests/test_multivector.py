@@ -236,7 +236,7 @@ def test_gp_examples(ctx1):
 # -- oracle comparisons on random elements -----------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_bilinear_matches_oracle(n, rng):
     ctx = AlgebraContext(n)
     for _ in range(40):
@@ -244,7 +244,7 @@ def test_bilinear_matches_oracle(n, rng):
         assert bilinear(u, v) == bilinear_oracle(u, v)
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_wedge_matches_oracle(n, rng):
     ctx = AlgebraContext(n)
     for _ in range(40):
@@ -252,7 +252,7 @@ def test_wedge_matches_oracle(n, rng):
         assert wedge(u, v) == wedge_oracle(u, v)
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_contractions_match_adjoint_oracle(n, rng):
     ctx = AlgebraContext(n)
     for _ in range(15):
@@ -261,13 +261,51 @@ def test_contractions_match_adjoint_oracle(n, rng):
         assert rcontract(u, v) == rcontract_oracle(u, v)
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_gp_matches_diagonal_oracle(n, rng):
     ctx = AlgebraContext(n)
     oracle = DiagonalProductOracle(ctx)
     for _ in range(15):
         u, v = random_multivector(ctx, rng), random_multivector(ctx, rng)
         assert gp(u, v) == oracle.gp(u, v)
+
+
+@pytest.mark.parametrize("n", [8, 14])
+def test_products_on_random_blades_at_large_n(n, rng):
+    # beyond the oracles' reach, check the laws that tie the kernels together:
+    # associativity and x B = x _| B + x ^ B, B x = B |_ x + B ^ x; n=14 masks
+    # use all 28 bits of the reorder parity
+    ctx = AlgebraContext(n)
+    full = 1 << ctx.num_generators
+    nonzero = 0
+    for _ in range(30):
+        a, b, c = (
+            ctx.from_terms({rng.randrange(full): rng.choice([1, -2]) for _ in range(3)})
+            for _ in range(3)
+        )
+        abc = gp(gp(a, b), c)
+        assert abc == gp(a, gp(b, c))
+        nonzero += not abc.is_zero()
+        assert wedge(a, b) == wedge_oracle(a, b)
+        for g in range(ctx.num_generators):
+            x = ctx.generator(g)
+            assert gp(x, b) == lcontract(x, b) + wedge(x, b)
+            assert gp(b, x) == rcontract(b, x) + wedge(b, x)
+    assert nonzero >= 5
+
+
+def test_context_holds_no_product_state(rng):
+    ctx = AlgebraContext(8)
+
+    def state():
+        return {k: repr(v) for k, v in vars(ctx).items()}
+
+    before = state()
+    for _ in range(10):
+        u = random_multivector(ctx, rng, density=0.0005)
+        v = random_multivector(ctx, rng, density=0.0005)
+        gp(u, v), lcontract(u, v), rcontract(u, v), wedge(u, v), bilinear(u, v)
+    assert state() == before
 
 
 def test_hodge_examples(ctx1, ctx2):
@@ -377,7 +415,7 @@ def test_immutability(ctx1):
 
 
 def test_shared_context_across_threads(rng):
-    # the product memo is an idempotent cache, so concurrent use of one
+    # a context holds no per-product state, so concurrent use of one
     # context must agree with sequential evaluation
     from concurrent.futures import ThreadPoolExecutor
 

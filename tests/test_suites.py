@@ -67,3 +67,25 @@ def test_failure_reporting_shape(monkeypatch):
     assert report.failures == 1
     assert any("FAIL witt: always-broken: lhs != rhs with u=(e1)" in l for l in report.lines)
     assert report.render().endswith("1 identity(ies) FAILED")
+
+
+def test_run_suite_releases_its_context(monkeypatch):
+    # the Fock rep cache and the ideal cache are filled by the run, and must
+    # not keep the run's context alive
+    import gc
+    import weakref
+
+    from hyclif import suites
+
+    made = []
+
+    class Tracked(suites.AlgebraContext):
+        def __init__(self, n):
+            super().__init__(n)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(suites, "AlgebraContext", Tracked)
+    assert run_suite("all", 1, trials=1).passed
+    assert made
+    gc.collect()
+    assert [ref() for ref in made] == [None] * len(made)
