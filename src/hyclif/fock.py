@@ -2,17 +2,19 @@
 
 A vecfor acts on /\\V by sqrt2 * (x_form _| u + x_vec ^ u); squaring that
 action reproduces the neutral quadratic form exactly, so it extends to an
-algebra map onto End(/\\V).  Blades lift by rep(x ^ A) = rep(x) rep(A) -
-rep(x _| A).  The module also realizes the graded tensor split onto
-Cl(V,b) (x) Cl(V,-b) for an arbitrary exact nondegenerate symmetric b and the
-doubled-space dimension count.
+algebra map onto End(/\\V).  Each generator acts as a creation or
+annihilation operator (e_i -> sqrt2 e_i ^, t_i -> sqrt2 t_i _|), so a blade
+maps each subset vector e_s to one signed, sqrt2-scaled subset vector or to
+zero, read in closed form off the two masks; dense matrices are built only
+for FockMatrix output and the End isomorphism rank.  The module also
+realizes the graded tensor split onto Cl(V,b) (x) Cl(V,-b) for an arbitrary
+exact nondegenerate symmetric b and the doubled-space dimension count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-from weakref import WeakKeyDictionary
 
 from . import linalg
 from .hyperspace import (
@@ -22,8 +24,8 @@ from .hyperspace import (
     vec_pairing,
     witt_basis,
 )
-from .multivector import AlgebraContext, Multivector, _left_terms, lcontract, wedge
-from .scalar import ONE, SQRT2, ZERO, Scalar
+from .multivector import AlgebraContext, Multivector, _odd_swaps
+from .scalar import ONE, SQRT2, Scalar
 
 MAX_END_ISO_DIM = 3  # rank of a 4^n x 4^n exact matrix beyond this is refused
 
@@ -109,87 +111,68 @@ def fock_identity(ctx: AlgebraContext) -> FockMatrix:
     return FockMatrix(ctx, _tup(linalg.identity(1 << ctx.dim_n)))
 
 
-def _fock_vector_action(ctx: AlgebraContext, x: Vecfor) -> FockMatrix:
-    """Matrix of u -> sqrt2 (x_form _| u + x_vec ^ u) on the subset basis."""
-    n = ctx.dim_n
+def _fock_term(a: int, s: int, n: int) -> tuple[int, int, int] | None:
+    """Blade a on the subset vector e_s: (-1)^odd sqrt2^k e_s2, as (s2, odd, k).
+
+    None when a annihilates e_s.  In mask order a = e_P ^ t_Q; with C = P & Q
+    it is the product (-1)^r e_P' E_C t_Q' of the generators in P' = P - C,
+    the pairs E_i = e_i ^ t_i over C, and the generators in Q' = Q - C.
+    Acting from the right, each t_i is sqrt2 t_i _| and needs i in s, each
+    E_i is +1 when i is in s and -1 otherwise, and each e_i is sqrt2 e_i ^
+    and needs i outside s; moving t_i or e_i past the e's of the subset
+    below i gives the Fock signs.
+    """
+    low = (1 << n) - 1
+    p, q = a & low, a >> n
+    pairs = p & q
+    e, t = p ^ pairs, q ^ pairs
+    if t & ~s or e & s:
+        return None
+    kept = s ^ t
+    odd = (
+        _odd_swaps(e, pairs) + _odd_swaps(pairs, t) + _odd_swaps(pairs, pairs)  # r
+        + _odd_swaps(t, s)  # each t past the e's of s below it
+        + (pairs & ~s).bit_count()  # E_i = -1 for i outside s
+        + _odd_swaps(e, kept)  # each e past the e's of s - Q' below it
+    )
+    return kept | e, odd & 1, e.bit_count() + t.bit_count()
+
+
+def _rep_rows(terms: dict[int, Scalar], n: int) -> linalg.Matrix:
+    """Dense matrix of the sum of c * blade over terms, in the (grade, lex) basis."""
     basis = fock_basis(n)
     index = {m: i for i, m in enumerate(basis)}
-    x_vec = Multivector(ctx, {1 << k: c for k, c in enumerate(x.vec) if c})
-    x_form = Multivector(ctx, {1 << (n + k): c for k, c in enumerate(x.form) if c})
-    side = 1 << n
-    cols: list[list[Scalar]] = [[ZERO] * side for _ in range(side)]
-    for j, mask in enumerate(basis):
-        u = ctx.blade(mask)
-        image = (lcontract(x_form, u) + wedge(x_vec, u)).scale(SQRT2)
-        for m, c in image.terms.items():
-            cols[j][index[m]] = c
-    rows = [[cols[j][i] for j in range(side)] for i in range(side)]
-    return FockMatrix(ctx, _tup(rows))
+    root2 = [SQRT2**k for k in range(n + 1)]
+    rows = linalg.zeros(len(basis), len(basis))
+    for a, c in terms.items():
+        for j, s in enumerate(basis):
+            term = _fock_term(a, s, n)
+            if term is not None:
+                s2, odd, k = term
+                v = c * root2[k]
+                rows[index[s2]][j] += -v if odd else v
+    return rows
 
 
 def clifford_map_matrix(ctx: AlgebraContext, x: Vecfor) -> FockMatrix:
-    """Clifford map of a vecfor; squares to <x,x> times the identity."""
+    """Clifford map u -> sqrt2 (x_form _| u + x_vec ^ u); squares to <x,x> times the identity."""
     if x.context is not ctx:
         raise ValueError("vecfor belongs to a different context")
-    return _fock_vector_action(ctx, x)
-
-
-class _RepCache:
-    # holds no reference to its context, which keys it weakly in _rep_caches
-    def __init__(self, ctx: AlgebraContext) -> None:
-        self.dim_n = ctx.dim_n
-        self.generators = [
-            clifford_map_matrix(ctx, v).rows() for v in witt_basis(ctx)
-        ]
-        self.blades: dict[int, linalg.Matrix] = {0: linalg.identity(1 << ctx.dim_n)}
-
-    def blade(self, mask: int) -> linalg.Matrix:
-        hit = self.blades.get(mask)
-        if hit is not None:
-            return hit
-        low = mask & -mask
-        g = low.bit_length() - 1
-        rest = mask ^ low
-        # rep(x ^ A) = rep(x) rep(A) - rep(x _| A)
-        out = linalg.mat_mul(self.generators[g], self.blade(rest))
-        for m2, c2 in _left_terms(low, rest, self.dim_n):
-            term = self.blade(m2)
-            out = linalg.mat_add(out, linalg.mat_scale(term, Scalar(-c2)))
-        self.blades[mask] = out
-        return out
-
-
-_rep_caches: WeakKeyDictionary[AlgebraContext, _RepCache] = WeakKeyDictionary()
-
-
-def _rep_cache(ctx: AlgebraContext) -> _RepCache:
-    cache = _rep_caches.get(ctx)
-    if cache is None:
-        cache = _rep_caches[ctx] = _RepCache(ctx)
-    return cache
+    return rep(x.to_multivector())
 
 
 def rep(u: Multivector) -> FockMatrix:
     """Algebra map into End(/\\V): rep(uv) = rep(u) rep(v), rep(1) = identity."""
-    ctx = u.context
-    cache = _rep_cache(ctx)
-    side = 1 << ctx.dim_n
-    acc = linalg.zeros(side, side)
-    for mask, coeff in u.terms.items():
-        acc = linalg.mat_add(acc, linalg.mat_scale(cache.blade(mask), coeff))
-    return FockMatrix(ctx, _tup(acc))
+    return FockMatrix(u.context, _tup(_rep_rows(u.terms, u.context.dim_n)))
 
 
 def verify_end_iso(n: int) -> dict:
     """Exact rank of the flattened blade images; isomorphism iff rank == 4^n."""
     if not 1 <= n <= MAX_END_ISO_DIM:
         raise ValueError(f"verify_end_iso supports 1 <= n <= {MAX_END_ISO_DIM}, got {n}")
-    ctx = AlgebraContext(n)
-    cache = _rep_cache(ctx)
-    rows = []
-    for mask in range(1 << (2 * n)):
-        m = cache.blade(mask)
-        rows.append([x for row in m for x in row])
+    rows = [
+        [x for row in _rep_rows({a: ONE}, n) for x in row] for a in range(1 << (2 * n))
+    ]
     r = linalg.rank(rows)
     return {"rank": r, "is_isomorphism": r == 1 << (2 * n)}
 
@@ -199,20 +182,12 @@ def even_odd_block_structure(n: int) -> bool:
     odd blades act block-antidiagonally."""
     if not 1 <= n <= MAX_END_ISO_DIM:
         raise ValueError(f"supported for 1 <= n <= {MAX_END_ISO_DIM}, got {n}")
-    ctx = AlgebraContext(n)
-    cache = _rep_cache(ctx)
-    basis = fock_basis(n)
-    parity = [m.bit_count() & 1 for m in basis]
-    for mask in range(1 << (2 * n)):
-        m = cache.blade(mask)
-        blade_parity = mask.bit_count() & 1
-        for i in range(len(basis)):
-            for j in range(len(basis)):
-                crosses = parity[i] != parity[j]
-                if blade_parity == 0 and crosses and m[i][j]:
-                    return False
-                if blade_parity == 1 and not crosses and m[i][j]:
-                    return False
+    for a in range(1 << (2 * n)):
+        for s in range(1 << n):
+            term = _fock_term(a, s, n)
+            # e_s -> e_s2 crosses the split iff |s| and |s2| differ in parity
+            if term is not None and (a.bit_count() + s.bit_count() + term[0].bit_count()) & 1:
+                return False
     return True
 
 

@@ -15,9 +15,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .fock import FockMatrix, _tup, fock_basis
+from .fock import FockMatrix, _fock_term, _tup, fock_basis
 from .hyperspace import Vecfor
-from .multivector import AlgebraContext, Multivector, gp, lcontract, wedge
+from .multivector import AlgebraContext, Multivector, gp
 from .scalar import SQRT2, ZERO, Scalar
 
 MAX_IDEAL_DIM = 3  # span computations scale as 4^n x 4^n exact elimination
@@ -114,21 +114,18 @@ def module_map(u: Multivector) -> Multivector:
 
 
 def module_map_inverse(v: Multivector) -> Multivector:
-    """Inverse of m on its image; raises if v is not in Cl * theta*."""
+    """Inverse of m on its image; raises ValueError if v is not in Cl * theta*.
+
+    Only the wedge part e_s ^ theta* of e_s * theta* holds all of theta*, so
+    m^-1(v) is read off the coefficients of the masks s | theta*, and it is
+    checked by m(m^-1(v)) == v.
+    """
     ctx = v.context
-    n = ctx.dim_n
-    total = 1 << ctx.num_generators
-    cols = []
-    for mask in fock_basis(n):
-        image = gp(ctx.blade(mask), ctx.theta_star())
-        cols.append([image.coeff(m) for m in range(total)])
-    matrix = linalg.transpose(cols)
-    target = [v.coeff(m) for m in range(total)]
-    sol = linalg.solve(matrix, target)
-    if sol is None:
+    ts = ctx.theta_star_mask
+    u = Multivector(ctx, {m & ~ts: c for m, c in v.terms.items() if m & ts == ts})
+    if module_map(u) != v:
         raise ValueError("element is not in the theta* ideal")
-    terms = {mask: c for mask, c in zip(fock_basis(n), sol) if c}
-    return Multivector(ctx, terms)
+    return u
 
 
 def module_action(x: Vecfor, u: Multivector) -> Multivector:
@@ -137,12 +134,24 @@ def module_action(x: Vecfor, u: Multivector) -> Multivector:
 
 
 def module_action_formula(x: Vecfor, u: Multivector) -> Multivector:
-    """The closed form x_vec ^ u + 2 (x_form _| u) of the ideal action."""
+    """The closed form x_vec ^ u + 2 (x_form _| u) of the ideal action.
+
+    It is the Fock action conjugated by sqrt2^grade: a blade sending e_s to
+    (-1)^odd sqrt2^k e_s2 there sends it to (-1)^odd sqrt2^(k + |s| - |s2|) e_s2.
+    """
     ctx = u.context
     n = ctx.dim_n
-    x_vec = Multivector(ctx, {1 << k: c for k, c in enumerate(x.vec) if c})
-    x_form = Multivector(ctx, {1 << (n + k): c for k, c in enumerate(x.form) if c})
-    return wedge(x_vec, u) + lcontract(x_form, u).scale(2)
+    if not u.supported_on(ctx.e_star_mask):
+        raise ValueError("module_action_formula expects support on e-generators only")
+    out: dict[int, Scalar] = {}
+    for a, c in x.to_multivector().terms.items():
+        for s, d in u.terms.items():
+            term = _fock_term(a, s, n)
+            if term is not None:
+                s2, odd, k = term
+                v = c * d * SQRT2 ** (k + s.bit_count() - s2.bit_count())
+                out[s2] = out.get(s2, ZERO) + (-v if odd else v)
+    return Multivector(ctx, out)
 
 
 def module_action_matrix(ctx: AlgebraContext, x: Vecfor) -> FockMatrix:
@@ -158,21 +167,15 @@ def module_action_matrix(ctx: AlgebraContext, x: Vecfor) -> FockMatrix:
     return FockMatrix(ctx, _tup(rows))
 
 
-def grade_scaling_matrix(ctx: AlgebraContext) -> FockMatrix:
-    """Diagonal operator scaling grade-r subsets by sqrt2^r."""
-    basis = fock_basis(ctx.dim_n)
-    side = len(basis)
-    rows = [[ZERO] * side for _ in range(side)]
-    for i, mask in enumerate(basis):
-        rows[i][i] = SQRT2 ** mask.bit_count()
-    return FockMatrix(ctx, _tup(rows))
-
-
 def conjugated_module_action(ctx: AlgebraContext, x: Vecfor) -> FockMatrix:
-    """Grade-scaling conjugate D (module action) D^-1; equals the Clifford map."""
-    d = grade_scaling_matrix(ctx)
-    d_inv = FockMatrix(ctx, _tup(linalg.inverse(d.rows())))
-    return d * module_action_matrix(ctx, x) * d_inv
+    """Grade-scaling conjugate D (module action) D^-1, with D = sqrt2^grade on
+    the subset basis; equals the Clifford map."""
+    basis = fock_basis(ctx.dim_n)
+    rows = [
+        [c * SQRT2 ** (si.bit_count() - sj.bit_count()) for sj, c in zip(basis, row)]
+        for si, row in zip(basis, module_action_matrix(ctx, x).entries)
+    ]
+    return FockMatrix(ctx, _tup(rows))
 
 
 # -- spinor component storage -----------------------------------------------------
@@ -266,19 +269,20 @@ def spinor_to_json(rep: SpinorRep) -> dict:
 
 
 def spinor_from_json(ctx: AlgebraContext, obj: dict) -> SpinorRep:
-    """Inverse of spinor_to_json; a missing grade key reads as zero.
+    """Inverse of spinor_to_json, which writes every grade key.
 
-    Raises ValueError on an unknown key or a grade list of the wrong length.
+    Raises ValueError on a missing or unknown key, a grade list of the wrong
+    length, or a malformed Scalar.
     """
     n = ctx.dim_n
     keys = {_grade_key(n, r): r for r in range(n + 1)}
-    unknown = sorted(set(obj) - set(keys))
-    if unknown:
-        raise ValueError(f"unknown spinor keys at n={n}: {unknown}; expected {sorted(keys)}")
+    if set(obj) != set(keys):
+        raise ValueError(
+            f"spinor keys at n={n} must be {sorted(keys)}; "
+            f"missing {sorted(set(keys) - set(obj))}, unknown {sorted(set(obj) - set(keys))}"
+        )
     comps: dict[tuple[int, ...], Scalar] = {}
     for key, r in keys.items():
-        if key not in obj:
-            continue
         if key == "s":
             comps[()] = Scalar.from_json(obj[key])
         elif key == "p":

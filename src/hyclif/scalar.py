@@ -7,6 +7,7 @@ there is no floating-point mode anywhere.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 from typing import Union
@@ -226,7 +227,23 @@ class Scalar:
 
     @classmethod
     def from_json(cls, obj: dict) -> Scalar:
-        return cls(Fraction(obj["rat"]), Fraction(obj["rat_r2"]))
+        """Inverse of to_json: exactly the keys "rat" and "rat_r2", each a string
+        "p" or "p/q" of decimal integers with q nonzero; raises ValueError otherwise."""
+        if not isinstance(obj, dict) or set(obj) != {"rat", "rat_r2"}:
+            raise ValueError(f'a Scalar is {{"rat": ..., "rat_r2": ...}}, got {obj!r}')
+        return cls(_parse_rational(obj["rat"]), _parse_rational(obj["rat_r2"]))
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _parse_rational(text: object) -> Fraction:
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
+        raise ValueError(f"expected a rational string like '-3/4', got {text!r}")
+    num, _, den = text.partition("/")
+    if den and int(den) == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(int(num), int(den or 1))
 
 
 def format_rational(x: Fraction) -> str:

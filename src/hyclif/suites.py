@@ -12,7 +12,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
-from weakref import WeakKeyDictionary
 
 from . import linalg
 from .endo import (
@@ -62,13 +61,14 @@ from .hyperspace import (
     witt_basis,
 )
 from .ideals import (
-    IdealBasis,
     conjugated_module_action,
     e_star,
     ideal_span,
     minimality_check,
     module_action,
     module_action_formula,
+    module_map,
+    module_map_inverse,
     theta_star,
 )
 from .multivector import (
@@ -1276,24 +1276,13 @@ def _ideal_minimality(ctx, rng):
 
 @identity("ideals", "left multiplication stays inside the ideal", max_n=MAX_RANK_SUITE_DIM)
 def _ideal_left_closure(ctx, rng):
-    basis = _ideal_basis_cached(ctx)
     u = random_multivector(ctx, rng)
-    psi = basis.span[rng.randrange(len(basis.span))]
-    if not basis.contains(gp(u, psi)):
+    psi = module_map(random_multivector(ctx, rng, support_mask=ctx.e_star_mask))
+    try:
+        module_map_inverse(gp(u, psi))
+    except ValueError:
         return _fail("u * psi left the ideal", u=u, psi=psi)
     return None
-
-
-# span coefficients of the theta* ideal; a cached value that referenced its
-# context would keep the weak key alive
-_IDEAL_CACHE: WeakKeyDictionary[AlgebraContext, tuple[dict, ...]] = WeakKeyDictionary()
-
-
-def _ideal_basis_cached(ctx):
-    span = _IDEAL_CACHE.get(ctx)
-    if span is None:
-        span = _IDEAL_CACHE[ctx] = tuple(mv.terms for mv in ideal_span(theta_star(ctx)).span)
-    return IdealBasis(theta_star(ctx), tuple(Multivector(ctx, terms) for terms in span))
 
 
 @identity("ideals", "module action equals x_vec ^ u + 2 (x_form _| u)", max_n=MAX_RANK_SUITE_DIM)

@@ -11,7 +11,7 @@ from hyclif.fock import (
     verify_end_iso,
 )
 from hyclif.hyperspace import SymmetricForm, Vecfor, identity_form, vec_pairing
-from hyclif.multivector import AlgebraContext, gp
+from hyclif.multivector import AlgebraContext, gp, lcontract, wedge
 from hyclif.scalar import ONE, SQRT2, ZERO, Scalar
 from hyclif.suites import random_multivector, random_symmetric_form, random_vecfor
 
@@ -56,6 +56,18 @@ def test_rep_homomorphism(n, rng):
     for _ in range(40):
         u, v = random_multivector(ctx, rng), random_multivector(ctx, rng)
         assert rep(gp(u, v)) == rep(u) * rep(v)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rep_blade_recursion(n):
+    # rep(x ^ A) = rep(x) rep(A) - rep(x _| A) checks the closed-form Fock
+    # action against the blade kernel's wedge and contraction
+    ctx = AlgebraContext(n)
+    for g in range(2 * n):
+        x = ctx.blade(1 << g)
+        for a in range(1 << (2 * n)):
+            blade = ctx.blade(a)
+            assert rep(wedge(x, blade)) == rep(x) * rep(blade) - rep(lcontract(x, blade))
 
 
 @pytest.mark.parametrize("n, rank", [(1, 4), (2, 16)])

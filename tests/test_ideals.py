@@ -75,6 +75,9 @@ def test_module_map_bijection(ctx2, rng):
         module_map(ctx2.t(1))
     with pytest.raises(ValueError):
         module_map_inverse(ctx2.e(1))  # e1 is not in the theta* ideal
+    with pytest.raises(ValueError):
+        # the read finds u = 1 here; only the check m(u) == v rejects it
+        module_map_inverse(theta_star(ctx2) + ctx2.e(1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -153,6 +156,15 @@ def test_spinor_json_rejects_long_list():
 def test_spinor_json_rejects_unknown_key(ctx2):
     payload = spinor_to_json(SpinorRep(ctx2, {(1,): ONE}))
     payload["p"] = ONE.to_json()  # the top grade of n=2 is keyed "f"
+    with pytest.raises(ValueError):
+        spinor_from_json(ctx2, payload)
+
+
+def test_spinor_json_rejects_missing_key(ctx2):
+    with pytest.raises(ValueError):
+        spinor_from_json(ctx2, {})
+    payload = spinor_to_json(SpinorRep(ctx2, {(1,): ONE}))
+    del payload["f"]
     with pytest.raises(ValueError):
         spinor_from_json(ctx2, payload)
 

@@ -112,6 +112,24 @@ def test_json_roundtrip():
     assert s.to_json() == {"rat": "3/2", "rat_r2": "-5/4"}
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"rat": 0.1, "rat_r2": "0"},
+        {"rat": "1.5e3", "rat_r2": "0"},
+        {"rat": " 3 ", "rat_r2": "0"},
+        {"rat": True, "rat_r2": "0"},
+        {"rat": "1", "rat_r2": "0", "extra": "0"},
+        {"rat": "1"},
+        {"rat": "1/0", "rat_r2": "0"},
+    ],
+    ids=["float", "exponent", "whitespace", "bool", "unknown-key", "missing-key", "zero-denominator"],
+)
+def test_json_rejects_malformed(payload):
+    with pytest.raises(ValueError):
+        Scalar.from_json(payload)
+
+
 def test_immutability():
     s = Scalar(1)
     with pytest.raises(AttributeError):
