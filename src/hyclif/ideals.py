@@ -2,9 +2,9 @@
 
 Left-multiplying the algebra onto theta* = t1^...^tn produces a 2^n-dimensional
 minimal left ideal; the map m(u) = u * theta* identifies it with /\\V as a
-module, with vecfors acting by u -> x_vec ^ u + 2 (x_form _| u).  Spinor
-representatives are elements supported on t-generators only, stored by their
-strictly-increasing index components.
+module, with vecfors acting by u -> x_vec ^ u + 2 (x_form _| u).  Ideal bases
+are unique reduced row echelon forms (RREF) in blade-mask order.  Spinors are
+elements supported on t-generators only, stored by strictly-increasing indices.
 """
 
 from __future__ import annotations
@@ -14,13 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from . import linalg
 from .fock import FockMatrix, _fock_term, _tup, fock_basis
 from .hyperspace import Vecfor
 from .multivector import AlgebraContext, Multivector, gp
 from .scalar import SQRT2, ZERO, Scalar
 
-MAX_IDEAL_DIM = 3  # span computations scale as 4^n x 4^n exact elimination
+MAX_IDEAL_DIM = 3  # minimality_check spans 4^n left multiples for each of its dim + 16 candidates
+MINIMALITY_TRIALS = 16  # random combinations tried beyond the span rows
+MINIMALITY_SEED = 0
 
 
 def theta_star(ctx: AlgebraContext) -> Multivector:
@@ -33,7 +34,7 @@ def e_star(ctx: AlgebraContext) -> Multivector:
 
 @dataclass(frozen=True)
 class IdealBasis:
-    """Exact basis of a left ideal Cl * generator."""
+    """Left ideal Cl * generator; span is its unique RREF basis in blade-mask order."""
 
     generator: Multivector
     span: tuple[Multivector, ...]
@@ -42,57 +43,51 @@ class IdealBasis:
     def dim(self) -> int:
         return len(self.span)
 
-    def _matrix(self) -> linalg.Matrix:
-        ctx = self.generator.context
-        blades = list(range(1 << ctx.num_generators))
-        return [[mv.coeff(m) for m in blades] for mv in self.span]
-
     def contains(self, u: Multivector) -> bool:
-        if u.context is not self.generator.context:
-            return False
-        if u.is_zero():
-            return True
-        ctx = u.context
-        vec = [u.coeff(m) for m in range(1 << ctx.num_generators)]
-        cols = linalg.transpose(self._matrix())
-        return linalg.solve(cols, vec) is not None
+        return u.context is self.generator.context and _reduce(self.span, u).is_zero()
+
+
+def _reduce(span: tuple[Multivector, ...] | list[Multivector], u: Multivector) -> Multivector:
+    """u minus its multiples of the RREF rows in span, each pivoted at min(row.terms)."""
+    for row in span:
+        c = u.coeff(min(row.terms))
+        if c:
+            u = u - row.scale(c)
+    return u
 
 
 def ideal_span(g: Multivector) -> IdealBasis:
-    """Row-reduced exact basis of Cl * g (left multiples of g by all blades)."""
+    """Unique RREF basis of Cl * g: each blade * g, reduced, is pivoted at its lowest mask."""
     if g.is_zero():
         raise ValueError("zero generator spans the zero ideal")
     ctx = g.context
-    total = 1 << ctx.num_generators
-    rows = []
-    for mask in range(total):
-        prod = gp(ctx.blade(mask), g)
-        rows.append([prod.coeff(m) for m in range(total)])
-    ech, pivots = linalg.row_echelon(rows)
-    span = []
-    for i in range(len(pivots)):
-        terms = {m: c for m, c in enumerate(ech[i]) if c}
-        span.append(Multivector(ctx, terms))
+    span: list[Multivector] = []
+    for mask in range(1 << ctx.num_generators):
+        row = _reduce(span, gp(ctx.blade(mask), g))
+        if row:
+            p = min(row.terms)
+            row = row.scale(row.terms[p].inverse())
+            span = [r - row.scale(r.coeff(p)) for r in span] + [row]
+    span.sort(key=lambda row: min(row.terms))
     return IdealBasis(generator=g, span=tuple(span))
 
 
-def minimality_check(g: Multivector, trials: int = 16, seed: int = 0) -> bool:
+def minimality_check(g: Multivector) -> bool:
     """True iff no sampled nonzero element of Cl*g generates a smaller ideal.
 
-    Every span basis element is tried, plus `trials` seeded random nonzero
-    combinations; minimality fails as soon as some element regenerates a
-    proper subideal.
+    Every span basis element is tried, plus MINIMALITY_TRIALS random nonzero
+    combinations drawn with MINIMALITY_SEED; minimality fails as soon as some
+    element regenerates a proper subideal.
     """
     ctx = g.context
     if ctx.dim_n > MAX_IDEAL_DIM:
         raise ValueError(f"minimality check supports n <= {MAX_IDEAL_DIM}")
     base = ideal_span(g)
     candidates = list(base.span)
-    rng = random.Random(seed)
-    for _ in range(trials):
+    rng = random.Random(MINIMALITY_SEED)
+    for _ in range(MINIMALITY_TRIALS):
         combo = ctx.zero()
         while combo.is_zero():
-            combo = ctx.zero()
             for mv in base.span:
                 if rng.random() < 0.75:
                     num = rng.randint(-4, 4)

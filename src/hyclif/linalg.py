@@ -66,18 +66,6 @@ def mat_scale(a: Sequence[Sequence[Scalar]], c: Scalar) -> Matrix:
     return [[c * x for x in row] for row in a]
 
 
-def mat_eq(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> bool:
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if len(ra) != len(rb):
-            return False
-        for x, y in zip(ra, rb):
-            if x != y:
-                return False
-    return True
-
-
 def row_echelon(m: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the pivot column list (exact)."""
     a = copy_matrix(m)

@@ -1285,6 +1285,20 @@ def _ideal_left_closure(ctx, rng):
     return None
 
 
+@identity("ideals", "m^-1 rejects elements outside the ideal", max_n=MAX_RANK_SUITE_DIM)
+def _ideal_rejection(ctx, rng):
+    # x has no term holding theta*, so m^-1 reads psi's preimage; only m(u) != v rejects
+    psi = module_map(random_multivector(ctx, rng, support_mask=ctx.e_star_mask))
+    x = ctx.zero()
+    while x.is_zero():
+        x = random_multivector(ctx, rng, support_mask=ctx.e_star_mask)
+    try:
+        module_map_inverse(psi + x)
+    except ValueError:
+        return None
+    return _fail("m^-1 accepted psi + x outside the ideal", psi=psi, x=x)
+
+
 @identity("ideals", "module action equals x_vec ^ u + 2 (x_form _| u)", max_n=MAX_RANK_SUITE_DIM)
 def _ideal_module_action(ctx, rng):
     x = random_vecfor(ctx, rng)

@@ -1,5 +1,6 @@
 import pytest
 
+from hyclif import linalg
 from hyclif.fock import clifford_map_matrix
 from hyclif.ideals import (
     SpinorRep,
@@ -17,7 +18,7 @@ from hyclif.ideals import (
     spinor_to_json,
     theta_star,
 )
-from hyclif.multivector import AlgebraContext, gp, wedge
+from hyclif.multivector import AlgebraContext, Multivector, gp, wedge
 from hyclif.scalar import ONE, Scalar
 from hyclif.suites import random_multivector, random_vecfor
 
@@ -45,6 +46,46 @@ def test_ideal_span_examples(ctx1, ctx2):
 def test_ideal_dimension(n):
     ctx = AlgebraContext(n)
     assert ideal_span(theta_star(ctx)).dim == 1 << n
+
+
+def _dense_left_multiples(g):
+    ctx = g.context
+    masks = range(1 << ctx.num_generators)
+    return [[gp(ctx.blade(a), g).coeff(m) for m in masks] for a in masks]
+
+
+def _row(ctx, dense_row):
+    return Multivector(ctx, dict(enumerate(dense_row)))
+
+
+def _oracle_generators(ctx, rng):
+    if ctx.dim_n == 3:
+        return [theta_star(ctx)]
+    return [theta_star(ctx), ctx.scalar(1), ctx.e(1), ctx.t(1)] + [
+        random_multivector(ctx, rng, support_mask=mask)
+        for mask in (None, None, None, ctx.theta_star_mask, ctx.theta_star_mask)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ideal_span_matches_dense_rref(n, rng):
+    # the dense path is the oracle: row_echelon on the 4^n left multiples of g
+    ctx = AlgebraContext(n)
+    for g in _oracle_generators(ctx, rng):
+        if g.is_zero():
+            continue
+        dense = _dense_left_multiples(g)
+        ech, pivots = linalg.row_echelon(dense)
+        basis = ideal_span(g)
+        assert basis.span == tuple(_row(ctx, ech[i]) for i in range(len(pivots)))
+        members = [gp(random_multivector(ctx, rng), g) for _ in range(4)]
+        others = [random_multivector(ctx, rng) for _ in range(4)] + [ctx.e(1), ctx.t(n)]
+        for u in members + others:
+            vec = [u.coeff(m) for m in range(1 << ctx.num_generators)]
+            assert basis.contains(u) == linalg.row_space_contains(dense, vec)
+        assert all(basis.contains(u) for u in members)
+        if basis.dim < 1 << ctx.num_generators:
+            assert not all(basis.contains(u) for u in others)
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -96,35 +96,34 @@ def partner_mask(ctx, mask):
     return (low << n) | high
 
 
-def dual_blade(ctx, mask):
-    # D with <B', D> = delta_{B', B}
-    p = partner_mask(ctx, mask)
-    pairing = bilinear_oracle(ctx.blade(mask), ctx.blade(p))
-    return ctx.blade(p).scale(pairing.inverse())
-
-
-def lcontract_oracle(u, v):
-    # defining adjoint: <u _| v, w> = <v, ~u ^ w>
-    ctx = u.context
-    acc = {}
+def dual_blades(ctx):
+    # D_B with <B', D_B> = delta_{B', B}, for every mask B; build once per context
+    duals = []
     for mask in range(1 << ctx.num_generators):
-        d = dual_blade(ctx, mask)
+        p = partner_mask(ctx, mask)
+        pairing = bilinear_oracle(ctx.blade(mask), ctx.blade(p))
+        duals.append(ctx.blade(p).scale(pairing.inverse()))
+    return duals
+
+
+def lcontract_oracle(u, v, duals):
+    # defining adjoint: <u _| v, w> = <v, ~u ^ w>
+    acc = {}
+    for mask, d in enumerate(duals):
         c = bilinear_oracle(v, wedge_oracle(u.reversion(), d))
         if c:
             acc[mask] = c
-    return Multivector(ctx, acc)
+    return Multivector(u.context, acc)
 
 
-def rcontract_oracle(u, v):
+def rcontract_oracle(u, v, duals):
     # defining adjoint: <u |_ v, w> = <u, w ^ ~v>
-    ctx = u.context
     acc = {}
-    for mask in range(1 << ctx.num_generators):
-        d = dual_blade(ctx, mask)
+    for mask, d in enumerate(duals):
         c = bilinear_oracle(u, wedge_oracle(d, v.reversion()))
         if c:
             acc[mask] = c
-    return Multivector(ctx, acc)
+    return Multivector(u.context, acc)
 
 
 class DiagonalProductOracle:
@@ -255,10 +254,11 @@ def test_wedge_matches_oracle(n, rng):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_contractions_match_adjoint_oracle(n, rng):
     ctx = AlgebraContext(n)
+    duals = dual_blades(ctx)
     for _ in range(15):
         u, v = random_multivector(ctx, rng), random_multivector(ctx, rng)
-        assert lcontract(u, v) == lcontract_oracle(u, v)
-        assert rcontract(u, v) == rcontract_oracle(u, v)
+        assert lcontract(u, v) == lcontract_oracle(u, v, duals)
+        assert rcontract(u, v) == rcontract_oracle(u, v, duals)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

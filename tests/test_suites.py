@@ -70,8 +70,8 @@ def test_failure_reporting_shape(monkeypatch):
 
 
 def test_run_suite_releases_its_context(monkeypatch):
-    # the Fock rep cache and the ideal cache are filled by the run, and must
-    # not keep the run's context alive
+    # no module-level state (a cache, a registry, a memo) may keep the run's
+    # contexts alive once the run returns
     import gc
     import weakref
 
