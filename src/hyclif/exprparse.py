@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .hyperspace import sigma_basis
+from .hyperspace import sigma_vector
 from .multivector import (
     AlgebraContext,
     Multivector,
@@ -388,7 +388,7 @@ def _atom_value(name: str, ctx: AlgebraContext, env: Mapping[str, Multivector]) 
         return ctx.e(num)
     if kind == "t":
         return ctx.t(num)
-    return sigma_basis(ctx)[num - 1].to_multivector()
+    return sigma_vector(ctx, num).to_multivector()
 
 
 def eval_source(

@@ -5,8 +5,9 @@ action reproduces the neutral quadratic form exactly, so it extends to an
 algebra map onto End(/\\V).  Each generator acts as a creation or
 annihilation operator (e_i -> sqrt2 e_i ^, t_i -> sqrt2 t_i _|), so a blade
 maps each subset vector e_s to one signed, sqrt2-scaled subset vector or to
-zero, read in closed form off the two masks; dense matrices are built only
-for FockMatrix output and the End isomorphism rank.  The module also
+zero, read in closed form off the two masks.  Dense matrices are built only
+for FockMatrix output; the End isomorphism rank reduces sparse rows read off
+the same closed form.  The module also
 realizes the graded tensor split onto Cl(V,b) (x) Cl(V,-b) for an arbitrary
 exact nondegenerate symmetric b and the doubled-space dimension count.
 """
@@ -14,7 +15,7 @@ exact nondegenerate symmetric b and the doubled-space dimension count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import linalg
 from .hyperspace import (
@@ -27,7 +28,7 @@ from .hyperspace import (
 from .multivector import AlgebraContext, Multivector, _odd_swaps
 from .scalar import ONE, SQRT2, Scalar
 
-MAX_END_ISO_DIM = 3  # rank of a 4^n x 4^n exact matrix beyond this is refused
+MAX_END_ISO_DIM = 3  # the End isomorphism (4^n rows of 4^n entries) and block checks stop here
 
 
 def fock_basis(n: int) -> list[int]:
@@ -138,19 +139,24 @@ def _fock_term(a: int, s: int, n: int) -> tuple[int, int, int] | None:
     return kept | e, odd & 1, e.bit_count() + t.bit_count()
 
 
-def _rep_rows(terms: dict[int, Scalar], n: int) -> linalg.Matrix:
-    """Dense matrix of the sum of c * blade over terms, in the (grade, lex) basis."""
-    basis = fock_basis(n)
-    index = {m: i for i, m in enumerate(basis)}
+def _rep_entries(terms: dict[int, Scalar], n: int) -> Iterator[tuple[int, int, Scalar]]:
+    """(s2, s, v) for each term c * a of terms and each e_s it sends to v e_s2 != 0."""
     root2 = [SQRT2**k for k in range(n + 1)]
-    rows = linalg.zeros(len(basis), len(basis))
     for a, c in terms.items():
-        for j, s in enumerate(basis):
+        for s in range(1 << n):
             term = _fock_term(a, s, n)
             if term is not None:
                 s2, odd, k = term
                 v = c * root2[k]
-                rows[index[s2]][j] += -v if odd else v
+                yield s2, s, -v if odd else v
+
+
+def _rep_rows(terms: dict[int, Scalar], n: int) -> linalg.Matrix:
+    """Dense matrix of the sum of c * blade over terms, in the (grade, lex) basis."""
+    index = {m: i for i, m in enumerate(fock_basis(n))}
+    rows = linalg.zeros(len(index), len(index))
+    for s2, s, v in _rep_entries(terms, n):
+        rows[index[s2]][index[s]] += v
     return rows
 
 
@@ -170,11 +176,11 @@ def verify_end_iso(n: int) -> dict:
     """Exact rank of the flattened blade images; isomorphism iff rank == 4^n."""
     if not 1 <= n <= MAX_END_ISO_DIM:
         raise ValueError(f"verify_end_iso supports 1 <= n <= {MAX_END_ISO_DIM}, got {n}")
-    rows = [
-        [x for row in _rep_rows({a: ONE}, n) for x in row] for a in range(1 << (2 * n))
-    ]
-    r = linalg.rank(rows)
-    return {"rank": r, "is_isomorphism": r == 1 << (2 * n)}
+    rows: dict[int, linalg.SparseRow] = {}
+    for a in range(1 << (2 * n)):
+        # blade a's sparse matrix, flattened: entry (s2, s) goes to column s2 << n | s
+        linalg.sparse_insert(rows, {s2 << n | s: v for s2, s, v in _rep_entries({a: ONE}, n)})
+    return {"rank": len(rows), "is_isomorphism": len(rows) == 1 << (2 * n)}
 
 
 def even_odd_block_structure(n: int) -> bool:
@@ -206,31 +212,13 @@ GtElement = dict[tuple[int, int], Scalar]  # (left blade, right blade) -> coeffi
 
 def _diag_blade_product(a: int, b: int, metric: Sequence[Scalar]) -> tuple[int, Scalar]:
     """Blade product in a diagonal-metric Clifford algebra: sign and metric factors."""
-    sign = 1
-    total = 0
-    # count swaps: pairs (i in a, j in b) with i > j
-    rest = b
-    while rest:
-        low = rest & -rest
-        total += (a >> low.bit_length()).bit_count()
-        rest ^= low
-    if total & 1:
-        sign = -1
-    coeff = Scalar(sign)
+    coeff = Scalar(-1 if _odd_swaps(a, b) else 1)
     common = a & b
     while common:
         low = common & -common
         coeff = coeff * metric[low.bit_length() - 1]
         common ^= low
     return a ^ b, coeff
-
-
-def gt_unit() -> GtElement:
-    return {(0, 0): ONE}
-
-
-def gt_scale(u: GtElement, c: Scalar) -> GtElement:
-    return {k: c * v for k, v in u.items() if c * v}
 
 
 def gt_add(u: GtElement, v: GtElement) -> GtElement:
@@ -270,10 +258,6 @@ def gt_mul(u: GtElement, v: GtElement, metric: Sequence[Scalar]) -> GtElement:
     return out
 
 
-def gt_eq(u: GtElement, v: GtElement) -> bool:
-    return {k: c for k, c in u.items() if c} == {k: c for k, c in v.items() if c}
-
-
 def tensor_split_check(b: SymmetricForm, ctx: AlgebraContext) -> bool:
     """Verify the Clifford map x -> x_plus (x) 1 + 1 (x) x_minus into
     Cl(V,b) (x) Cl(V,-b) satisfies the anticommutation contract
@@ -287,22 +271,16 @@ def tensor_split_check(b: SymmetricForm, ctx: AlgebraContext) -> bool:
 
     def rho(x: Vecfor) -> GtElement:
         plus, minus = rho_b_split(b, x)
-        plus_f = linalg.mat_vec(q_inv, list(plus))
-        minus_f = linalg.mat_vec(q_inv, list(minus))
-        out: GtElement = {}
-        for k, c in enumerate(plus_f):
-            if c:
-                out = gt_add(out, {(1 << k, 0): c})
-        for k, c in enumerate(minus_f):
-            if c:
-                out = gt_add(out, {(0, 1 << k): c})
+        out = {(1 << k, 0): c for k, c in enumerate(linalg.mat_vec(q_inv, list(plus))) if c}
+        out.update({(0, 1 << k): c for k, c in enumerate(linalg.mat_vec(q_inv, list(minus))) if c})
         return out
 
     basis = witt_basis(ctx)
-    for x in basis:
-        for y in basis:
-            lhs = gt_add(gt_mul(rho(x), rho(y), metric), gt_mul(rho(y), rho(x), metric))
-            rhs = gt_scale(gt_unit(), Scalar(2) * vec_pairing(x, y))
-            if not gt_eq(lhs, rhs):
+    images = [rho(x) for x in basis]
+    for x, rx in zip(basis, images):
+        for y, ry in zip(basis, images):
+            lhs = gt_add(gt_mul(rx, ry, metric), gt_mul(ry, rx, metric))
+            c = Scalar(2) * vec_pairing(x, y)
+            if lhs != ({(0, 0): c} if c else {}):
                 return False
     return True

@@ -146,19 +146,18 @@ def witt_basis(ctx: AlgebraContext) -> list[Vecfor]:
     ]
 
 
+def sigma_vector(ctx: AlgebraContext, k: int) -> Vecfor:
+    """s_k of the orthonormal basis, 1 <= k <= 2n: see sigma_basis."""
+    n = ctx.dim_n
+    vec, form = [ZERO] * n, [ZERO] * n
+    vec[(k - 1) % n] = INV_SQRT2 if k <= n else -INV_SQRT2
+    form[(k - 1) % n] = INV_SQRT2
+    return Vecfor(ctx, tuple(vec), tuple(form))
+
+
 def sigma_basis(ctx: AlgebraContext) -> list[Vecfor]:
     """Orthonormal basis: s_k = (e_k + t_k)/sqrt2, s_{n+k} = (-e_k + t_k)/sqrt2."""
-    n = ctx.dim_n
-    out = []
-    for k in range(n):
-        vec = [INV_SQRT2 if i == k else ZERO for i in range(n)]
-        form = [INV_SQRT2 if i == k else ZERO for i in range(n)]
-        out.append(Vecfor(ctx, tuple(vec), tuple(form)))
-    for k in range(n):
-        vec = [-INV_SQRT2 if i == k else ZERO for i in range(n)]
-        form = [INV_SQRT2 if i == k else ZERO for i in range(n)]
-        out.append(Vecfor(ctx, tuple(vec), tuple(form)))
-    return out
+    return [sigma_vector(ctx, k) for k in range(1, 2 * ctx.dim_n + 1)]
 
 
 def sigma_components(x: Vecfor) -> list[Scalar]:

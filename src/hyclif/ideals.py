@@ -3,8 +3,9 @@
 Left-multiplying the algebra onto theta* = t1^...^tn produces a 2^n-dimensional
 minimal left ideal; the map m(u) = u * theta* identifies it with /\\V as a
 module, with vecfors acting by u -> x_vec ^ u + 2 (x_form _| u).  Ideal bases
-are unique reduced row echelon forms (RREF) in blade-mask order.  Spinors are
-elements supported on t-generators only, stored by strictly-increasing indices.
+are unique reduced row echelon forms (RREF) in blade-mask order, from linalg's
+sparse elimination.  Spinors are elements supported on t-generators only,
+stored by strictly-increasing indices.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from . import linalg
 from .fock import FockMatrix, _fock_term, _tup, fock_basis
 from .hyperspace import Vecfor
 from .multivector import AlgebraContext, Multivector, gp
 from .scalar import SQRT2, ZERO, Scalar
 
-MAX_IDEAL_DIM = 3  # minimality_check spans 4^n left multiples for each of its dim + 16 candidates
+MAX_IDEAL_DIM = 3  # minimality_check spans Cl * psi, up to 4^n rows, for each of its dim + 16 candidates
 MINIMALITY_TRIALS = 16  # random combinations tried beyond the span rows
 MINIMALITY_SEED = 0
 
@@ -44,32 +46,27 @@ class IdealBasis:
         return len(self.span)
 
     def contains(self, u: Multivector) -> bool:
-        return u.context is self.generator.context and _reduce(self.span, u).is_zero()
-
-
-def _reduce(span: tuple[Multivector, ...] | list[Multivector], u: Multivector) -> Multivector:
-    """u minus its multiples of the RREF rows in span, each pivoted at min(row.terms)."""
-    for row in span:
-        c = u.coeff(min(row.terms))
-        if c:
-            u = u - row.scale(c)
-    return u
+        if u.context is not self.generator.context:
+            return False
+        return not linalg.sparse_reduce({min(r.terms): r.terms for r in self.span}, u.terms)
 
 
 def ideal_span(g: Multivector) -> IdealBasis:
-    """Unique RREF basis of Cl * g: each blade * g, reduced, is pivoted at its lowest mask."""
+    """Unique RREF basis of Cl * g.  The generators x span Cl as an algebra, so
+    a subspace holding g and x * r for each r it was built from is Cl * g."""
     if g.is_zero():
         raise ValueError("zero generator spans the zero ideal")
     ctx = g.context
-    span: list[Multivector] = []
-    for mask in range(1 << ctx.num_generators):
-        row = _reduce(span, gp(ctx.blade(mask), g))
-        if row:
-            p = min(row.terms)
-            row = row.scale(row.terms[p].inverse())
-            span = [r - row.scale(r.coeff(p)) for r in span] + [row]
-    span.sort(key=lambda row: min(row.terms))
-    return IdealBasis(generator=g, span=tuple(span))
+    gens = [ctx.generator(i) for i in range(ctx.num_generators)]
+    rows: dict[int, linalg.SparseRow] = {}
+    linalg.sparse_insert(rows, g.terms)
+    todo = [g]
+    for r in todo:  # the loop also visits the rows appended while it runs
+        for x in gens:
+            p = linalg.sparse_insert(rows, gp(x, r).terms)
+            if p is not None:
+                todo.append(Multivector(ctx, rows[p]))
+    return IdealBasis(generator=g, span=tuple(Multivector(ctx, rows[p]) for p in sorted(rows)))
 
 
 def minimality_check(g: Multivector) -> bool:

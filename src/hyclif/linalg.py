@@ -1,9 +1,10 @@
-"""Exact dense linear algebra over Q(sqrt 2).
+"""Exact linear algebra over Q(sqrt 2).
 
-Matrices are lists of rows of Scalars.  Everything here is plain Gaussian
-elimination with exact division, so ranks, kernels, inverses and determinants
-carry no tolerances.  Pivoting is deterministic (first nonzero entry in
-row-major scan) so downstream golden output is reproducible.
+Matrices are lists of rows of Scalars.  One sparse elimination serves
+row_echelon, rank, kernel_basis, solve, inverse and row_space_contains.  Its
+rows are dicts column -> nonzero Scalar, each 1 at its lowest column (its
+pivot), kept under that key, and 0 at the other rows' pivots: the unique
+reduced row echelon form (RREF), exact, so no result carries a tolerance.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from .scalar import ONE, ZERO, Scalar
 
 Matrix = list[list[Scalar]]
 Vector = list[Scalar]
+SparseRow = dict[int, Scalar]  # column -> nonzero entry
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -66,39 +68,62 @@ def mat_scale(a: Sequence[Sequence[Scalar]], c: Scalar) -> Matrix:
     return [[c * x for x in row] for row in a]
 
 
+def sparse_reduce(rows: dict[int, SparseRow], v: SparseRow) -> SparseRow:
+    """v minus its multiples of the RREF rows; neither is modified.  The rows
+    vanish at each other's pivots, so one pass over v's pivot keys clears them."""
+    v = dict(v)
+    for p in [k for k in v if k in rows]:
+        _sub_multiple(v, v[p], rows[p])
+    return v
+
+
+def sparse_insert(rows: dict[int, SparseRow], v: SparseRow) -> int | None:
+    """Add v to the RREF rows in place; return its pivot, or None if v is in their span."""
+    v = sparse_reduce(rows, v)
+    if not v:
+        return None
+    p = min(v)  # scale v to 1 at p, then clear p from the earlier rows
+    inv = v[p].inverse()
+    v = {k: x * inv for k, x in v.items()}
+    for row in rows.values():
+        c = row.get(p)
+        if c:
+            _sub_multiple(row, c, v)
+    rows[p] = v
+    return p
+
+
+def _sub_multiple(dst: SparseRow, c: Scalar, src: SparseRow) -> None:
+    # dst -= c * src, dropping the entries that cancel
+    for k, x in src.items():
+        y = dst.get(k)
+        y = -(c * x) if y is None else y - c * x
+        if y:
+            dst[k] = y
+        else:
+            del dst[k]
+
+
+def _rref(m: Sequence[Sequence[Scalar]]) -> dict[int, SparseRow]:
+    rows: dict[int, SparseRow] = {}
+    for row in m:
+        sparse_insert(rows, {j: x for j, x in enumerate(row) if x})
+    return rows
+
+
 def row_echelon(m: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the pivot column list (exact)."""
-    a = copy_matrix(m)
-    if not a:
-        return a, []
-    rows, cols = len(a), len(a[0])
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(cols):
-        pivot_row = None
-        for i in range(pr, rows):
-            if a[i][pc]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[pr], a[pivot_row] = a[pivot_row], a[pr]
-        inv = a[pr][pc].inverse()
-        a[pr] = [x * inv for x in a[pr]]
-        for i in range(rows):
-            if i != pr and a[i][pc]:
-                f = a[i][pc]
-                a[i] = [x - f * y for x, y in zip(a[i], a[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == rows:
-            break
-    return a, pivots
+    """Reduced row echelon form, zero rows last, and the pivot column list (exact)."""
+    if not m:
+        return [], []
+    cols = len(m[0])
+    rows = _rref(m)
+    pivots = sorted(rows)
+    ech = [[rows[p].get(j, ZERO) for j in range(cols)] for p in pivots]
+    return ech + zeros(len(m) - len(pivots), cols), pivots
 
 
 def rank(m: Sequence[Sequence[Scalar]]) -> int:
-    _, pivots = row_echelon(m)
-    return len(pivots)
+    return len(_rref(m))
 
 
 def kernel_basis(m: Sequence[Sequence[Scalar]]) -> list[Vector]:
@@ -106,15 +131,13 @@ def kernel_basis(m: Sequence[Sequence[Scalar]]) -> list[Vector]:
     if not m:
         return []
     cols = len(m[0])
-    ech, pivots = row_echelon(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
+    rows = _rref(m)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(cols) if c not in rows):
         v = [ZERO] * cols
         v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -ech[r][fc]
+        for pc, row in rows.items():
+            v[pc] = -row.get(fc, ZERO)
         basis.append(v)
     return basis
 
@@ -124,23 +147,22 @@ def solve(m: Sequence[Sequence[Scalar]], b: Sequence[Scalar]) -> Optional[Vector
     if not m:
         return [] if all(not x for x in b) else None
     cols = len(m[0])
-    aug = [list(row) + [bv] for row, bv in zip(m, b)]
-    ech, pivots = row_echelon(aug)
-    if cols in pivots:
+    rows = _rref([list(row) + [bv] for row, bv in zip(m, b)])
+    if cols in rows:
         return None
     x = [ZERO] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = ech[r][cols]
+    for pc, row in rows.items():
+        x[pc] = row.get(cols, ZERO)
     return x
 
 
 def inverse(m: Sequence[Sequence[Scalar]]) -> Matrix:
     n = len(m)
-    aug = [list(row) + list(identity(n)[i]) for i, row in enumerate(m)]
-    ech, pivots = row_echelon(aug)
-    if pivots != list(range(n)):
+    eye = identity(n)
+    rows = _rref([list(row) + eye[i] for i, row in enumerate(m)])
+    if sorted(rows) != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    return [row[n:] for row in ech]
+    return [[rows[i].get(n + j, ZERO) for j in range(n)] for i in range(n)]
 
 
 def determinant(m: Sequence[Sequence[Scalar]]) -> Scalar:
@@ -170,7 +192,7 @@ def determinant(m: Sequence[Sequence[Scalar]]) -> Scalar:
 
 
 def row_space_contains(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> bool:
-    return rank(list(m) + [list(v)]) == rank(m)
+    return not sparse_reduce(_rref(m), {j: x for j, x in enumerate(v) if x})
 
 
 def same_row_space(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> bool:

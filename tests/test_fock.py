@@ -1,4 +1,5 @@
 import pytest
+from test_linalg import dense_rank
 
 from hyclif.fock import (
     clifford_map_matrix,
@@ -73,6 +74,14 @@ def test_rep_blade_recursion(n):
 @pytest.mark.parametrize("n, rank", [(1, 4), (2, 16)])
 def test_verify_end_iso(n, rank):
     assert verify_end_iso(n) == {"rank": rank, "is_isomorphism": True}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_verify_end_iso_matches_dense_rank(n):
+    # the oracle: dense Gauss-Jordan on the flattened rep of every blade
+    ctx = AlgebraContext(n)
+    rows = [[x for row in rep(ctx.blade(a)).entries for x in row] for a in range(1 << (2 * n))]
+    assert verify_end_iso(n)["rank"] == dense_rank(rows)
 
 
 def test_verify_end_iso_guard():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,116 @@ from hyclif.scalar import ONE, ZERO, Scalar
 
 def m(rows):
     return [[Scalar(Fraction(x)) if not isinstance(x, Scalar) else x for x in row] for row in rows]
+
+
+# -- naive dense Gauss-Jordan: the reference for linalg's sparse elimination ------
+
+
+def dense_row_echelon(m):
+    """RREF with zero rows last and the pivot columns, by dense Gauss-Jordan."""
+    a = [list(row) for row in m]
+    if not a:
+        return a, []
+    rows, cols = len(a), len(a[0])
+    pivots = []
+    pr = 0
+    for pc in range(cols):
+        pivot_row = next((i for i in range(pr, rows) if a[i][pc]), None)
+        if pivot_row is None:
+            continue
+        a[pr], a[pivot_row] = a[pivot_row], a[pr]
+        inv = a[pr][pc].inverse()
+        a[pr] = [x * inv for x in a[pr]]
+        for i in range(rows):
+            if i != pr and a[i][pc]:
+                f = a[i][pc]
+                a[i] = [x - f * y for x, y in zip(a[i], a[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == rows:
+            break
+    return a, pivots
+
+
+def dense_rank(m):
+    return len(dense_row_echelon(m)[1])
+
+
+def dense_kernel_basis(m):
+    cols = len(m[0])
+    ech, pivots = dense_row_echelon(m)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [ZERO] * cols
+        v[fc] = ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = -ech[r][fc]
+        basis.append(v)
+    return basis
+
+
+def dense_solve(m, b):
+    cols = len(m[0])
+    ech, pivots = dense_row_echelon([list(row) + [bv] for row, bv in zip(m, b)])
+    if cols in pivots:
+        return None
+    x = [ZERO] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = ech[r][cols]
+    return x
+
+
+def random_q2(rng):
+    """A random element of Q(sqrt 2), zero half the time."""
+    if rng.random() < 0.5:
+        return ZERO
+    return Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+
+
+def random_q2_matrix(rng, rows, cols, rank=None, zero_rows=0):
+    """rows x cols, the product of rows x rank and rank x cols factors when rank
+    is given, with zero_rows zero rows mixed in."""
+    if rank is None:
+        a = [[random_q2(rng) for _ in range(cols)] for _ in range(rows)]
+    else:
+        a = linalg.mat_mul(random_q2_matrix(rng, rows, rank), random_q2_matrix(rng, rank, cols))
+    for _ in range(zero_rows):
+        a.insert(rng.randrange(len(a) + 1), [ZERO] * cols)
+    return a
+
+
+SHAPES = {  # rows, cols, rank cap, zero rows
+    "square": (5, 5, None, 0),
+    "wide": (3, 7, None, 0),
+    "tall": (7, 3, None, 0),
+    "rank_deficient": (6, 6, 2, 0),
+    "zero_rows": (4, 5, None, 3),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_elimination_matches_dense_oracle(shape):
+    rng = random.Random(f"linalg/{shape}")
+    rows, cols, cap, zero_rows = SHAPES[shape]
+    for _ in range(20):
+        a = random_q2_matrix(rng, rows, cols, cap, zero_rows)
+        assert linalg.row_echelon(a) == dense_row_echelon(a)
+        assert linalg.rank(a) == dense_rank(a)
+        assert linalg.kernel_basis(a) == dense_kernel_basis(a)
+        # a consistent right-hand side a x, and one drawn at random
+        for b in (linalg.mat_vec(a, [random_q2(rng) for _ in range(cols)]), [random_q2(rng) for _ in a]):
+            assert linalg.solve(a, b) == dense_solve(a, b)
+        # a combination of the rows, and a vector drawn at random
+        for v in (linalg.mat_vec(linalg.transpose(a), [random_q2(rng) for _ in a]), [random_q2(rng) for _ in range(cols)]):
+            assert linalg.row_space_contains(a, v) == (dense_rank(a + [v]) == dense_rank(a))
+        if len(a) == cols:
+            eye = linalg.identity(cols)
+            ech, pivots = dense_row_echelon([list(r) + eye[i] for i, r in enumerate(a)])
+            if pivots == list(range(cols)):
+                assert linalg.inverse(a) == [r[cols:] for r in ech]
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    linalg.inverse(a)
 
 
 def test_rank_and_echelon():
