@@ -43,7 +43,7 @@ class LinMapV:
         return linalg.mat_vec(self.rows(), list(v))
 
     def compose(self, other: LinMapV) -> LinMapV:
-        return LinMapV(self.context, _rows_to_tuple(linalg.mat_mul(self.rows(), other.rows())))
+        return LinMapV(self.context, linalg.mat_mul(self.rows(), other.rows()))
 
     def det(self) -> Scalar:
         return linalg.determinant(self.rows())
@@ -100,7 +100,7 @@ class LinMapVDual:
         return Subspace(self.context, "V_dual", tuple(tuple(ech[i]) for i in range(len(pivots))))
 
     def dual(self) -> LinMapV:
-        return LinMapV(self.context, _rows_to_tuple(linalg.transpose(self.rows())))
+        return LinMapV(self.context, linalg.transpose(self.rows()))
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ class HEndo:
         return Vecfor(self.context, tuple(out[:n]), tuple(out[n:]))
 
     def compose(self, other: HEndo) -> HEndo:
-        return HEndo(self.context, _rows_to_tuple(linalg.mat_mul(self.rows(), other.rows())))
+        return HEndo(self.context, linalg.mat_mul(self.rows(), other.rows()))
 
     def is_block_diagonal(self) -> bool:
         n = self.context.dim_n
@@ -141,7 +141,7 @@ class HEndo:
         """Dual with respect to the neutral pairing: G^-1 F^T G with G the Witt Gram."""
         g = self.context.gram
         ft = linalg.transpose(self.rows())
-        return HEndo(self.context, _rows_to_tuple(linalg.mat_mul(linalg.mat_mul(g, ft), g)))
+        return HEndo(self.context, linalg.mat_mul(linalg.mat_mul(g, ft), g))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HEndo):
@@ -155,21 +155,17 @@ class HEndo:
         return linalg.matrix_to_json(self.rows())
 
 
-def _rows_to_tuple(rows: Sequence[Sequence[Scalar]]) -> tuple[tuple[Scalar, ...], ...]:
-    return tuple(tuple(r) for r in rows)
-
-
 def identity_map(ctx: AlgebraContext) -> LinMapV:
-    return LinMapV(ctx, _rows_to_tuple(linalg.identity(ctx.dim_n)))
+    return LinMapV(ctx, linalg.identity(ctx.dim_n))
 
 
 def identity_hendo(ctx: AlgebraContext) -> HEndo:
-    return HEndo(ctx, _rows_to_tuple(linalg.identity(2 * ctx.dim_n)))
+    return HEndo(ctx, linalg.identity(2 * ctx.dim_n))
 
 
 def dual_map(phi: LinMapV) -> LinMapVDual:
     """(phi* alpha)(x) = alpha(phi x); the t-basis matrix is the transpose."""
-    return LinMapVDual(phi.context, _rows_to_tuple(linalg.transpose(phi.rows())))
+    return LinMapVDual(phi.context, linalg.transpose(phi.rows()))
 
 
 def isotropic_extension(phi: LinMapV) -> HEndo:

@@ -7,15 +7,18 @@ annihilation operator (e_i -> sqrt2 e_i ^, t_i -> sqrt2 t_i _|), so a blade
 maps each subset vector e_s to one signed, sqrt2-scaled subset vector or to
 zero, read in closed form off the two masks.  Dense matrices are built only
 for FockMatrix output; the End isomorphism rank reduces sparse rows read off
-the same closed form.  The module also
-realizes the graded tensor split onto Cl(V,b) (x) Cl(V,-b) for an arbitrary
-exact nondegenerate symmetric b and the doubled-space dimension count.
+the same closed form.  The module also checks the doubled-space dimension
+count and the graded tensor split Cl(H_V) = Cl(V,b) (x) Cl(V,-b) for an
+arbitrary exact nondegenerate symmetric b.  The split is realized inside the
+algebra itself: the vecfors f_i = (e_i + sum_k b_ik t_k)/sqrt2 and
+g_i = (e_i - sum_k b_ik t_k)/sqrt2 generate the two factors, and their
+products are the algebra's own gp, so no second Clifford algebra is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from . import linalg
 from .hyperspace import (
@@ -25,8 +28,8 @@ from .hyperspace import (
     vec_pairing,
     witt_basis,
 )
-from .multivector import AlgebraContext, Multivector, _odd_swaps
-from .scalar import ONE, SQRT2, Scalar
+from .multivector import AlgebraContext, Multivector, _odd_swaps, gp
+from .scalar import INV_SQRT2, ONE, SQRT2, Scalar
 
 MAX_END_ISO_DIM = 3  # the End isomorphism (4^n rows of 4^n entries) and block checks stop here
 
@@ -58,16 +61,16 @@ class FockMatrix:
         return [list(r) for r in self.entries]
 
     def __mul__(self, other: FockMatrix) -> FockMatrix:
-        return FockMatrix(self.context, _tup(linalg.mat_mul(self.rows(), other.rows())))
+        return FockMatrix(self.context, linalg.mat_mul(self.rows(), other.rows()))
 
     def __add__(self, other: FockMatrix) -> FockMatrix:
-        return FockMatrix(self.context, _tup(linalg.mat_add(self.rows(), other.rows())))
+        return FockMatrix(self.context, linalg.mat_add(self.rows(), other.rows()))
 
     def __sub__(self, other: FockMatrix) -> FockMatrix:
         return self + other.scale(Scalar(-1))
 
     def scale(self, c: Scalar) -> FockMatrix:
-        return FockMatrix(self.context, _tup(linalg.mat_scale(self.rows(), c)))
+        return FockMatrix(self.context, linalg.mat_scale(self.rows(), c))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FockMatrix):
@@ -104,12 +107,8 @@ class FockMatrix:
         return linalg.format_matrix(self.rows())
 
 
-def _tup(rows: Sequence[Sequence[Scalar]]) -> tuple[tuple[Scalar, ...], ...]:
-    return tuple(tuple(r) for r in rows)
-
-
 def fock_identity(ctx: AlgebraContext) -> FockMatrix:
-    return FockMatrix(ctx, _tup(linalg.identity(1 << ctx.dim_n)))
+    return FockMatrix(ctx, linalg.identity(1 << ctx.dim_n))
 
 
 def _fock_term(a: int, s: int, n: int) -> tuple[int, int, int] | None:
@@ -169,7 +168,7 @@ def clifford_map_matrix(ctx: AlgebraContext, x: Vecfor) -> FockMatrix:
 
 def rep(u: Multivector) -> FockMatrix:
     """Algebra map into End(/\\V): rep(uv) = rep(u) rep(v), rep(1) = identity."""
-    return FockMatrix(u.context, _tup(_rep_rows(u.terms, u.context.dim_n)))
+    return FockMatrix(u.context, _rep_rows(u.terms, u.context.dim_n))
 
 
 def verify_end_iso(n: int) -> dict:
@@ -199,88 +198,60 @@ def even_odd_block_structure(n: int) -> bool:
 
 def grandmother_dimension_check(n: int = 1) -> bool:
     """Re-run the End iso on the doubled space: rank must be 16^n = (2^{2n})^2."""
-    if not 1 <= n <= 2:
-        raise ValueError(f"doubled-space check is too large for n = {n}; use n <= 2")
+    if n < 1 or 2 * n > MAX_END_ISO_DIM:
+        raise ValueError(f"doubled-space check is too large for n = {n}; use n <= {MAX_END_ISO_DIM // 2}")
     report = verify_end_iso(2 * n)
     return report["rank"] == 1 << (4 * n) and report["is_isomorphism"]
 
 
 # -- graded tensor split -------------------------------------------------------
 
-GtElement = dict[tuple[int, int], Scalar]  # (left blade, right blade) -> coefficient
-
-
-def _diag_blade_product(a: int, b: int, metric: Sequence[Scalar]) -> tuple[int, Scalar]:
-    """Blade product in a diagonal-metric Clifford algebra: sign and metric factors."""
-    coeff = Scalar(-1 if _odd_swaps(a, b) else 1)
-    common = a & b
-    while common:
-        low = common & -common
-        coeff = coeff * metric[low.bit_length() - 1]
-        common ^= low
-    return a ^ b, coeff
-
-
-def gt_add(u: GtElement, v: GtElement) -> GtElement:
-    out = dict(u)
-    for k, c in v.items():
-        acc = out.get(k)
-        s = c if acc is None else acc + c
-        if s:
-            out[k] = s
-        elif k in out:
-            del out[k]
-    return out
-
-
-def gt_mul(u: GtElement, v: GtElement, metric: Sequence[Scalar]) -> GtElement:
-    """Graded tensor product algebra: (a (x) b)(c (x) d) = (-1)^{|b||c|} ac (x) bd,
-    with both factors diagonal-metric Clifford algebras (right factor negated)."""
-    neg_metric = [-m for m in metric]
-    out: GtElement = {}
-    for (la, ra), ca in u.items():
-        for (lb, rb), cb in v.items():
-            sign = -1 if (ra.bit_count() & 1) and (lb.bit_count() & 1) else 1
-            lm, lc = _diag_blade_product(la, lb, metric)
-            rm, rc = _diag_blade_product(ra, rb, neg_metric)
-            c = ca * cb * lc * rc
-            if sign < 0:
-                c = -c
-            if not c:
-                continue
-            key = (lm, rm)
-            acc = out.get(key)
-            s = c if acc is None else acc + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
-
 
 def tensor_split_check(b: SymmetricForm, ctx: AlgebraContext) -> bool:
-    """Verify the Clifford map x -> x_plus (x) 1 + 1 (x) x_minus into
-    Cl(V,b) (x) Cl(V,-b) satisfies the anticommutation contract
-    rho(x) rho(y) + rho(y) rho(x) = 2 <x,y> (1 (x) 1) on the Witt basis."""
+    """Realize Cl(V,b) (x) Cl(V,-b) inside the algebra and check the split.
+
+    Since <e_i, t_k> = delta_ik and b is symmetric, the vecfors
+    f_i = (e_i + sum_k b_ik t_k)/sqrt2 and g_i = (e_i - sum_k b_ik t_k)/sqrt2
+    pair as <f_i,f_j> = b_ij, <g_i,g_j> = -b_ij and <f_i,g_j> = 0, so they
+    generate Cl(V,b) and Cl(V,-b), and f_i g_j = -g_j f_i is the graded sign
+    of (x) on generators.  Checks those relations with gp, then
+    rho(x) rho(y) + rho(y) rho(x) = 2 <x,y> on the Witt basis for
+    rho(x) = sum_i x+_i f_i + x-_i g_i, (x+, x-) = rho_b_split(b, x).
+    """
     n = ctx.dim_n
     if b.dim != n:
         raise ValueError("form dimension does not match the context")
-    q, d = linalg.congruence_diagonalize([list(r) for r in b.matrix])
-    metric = [d[i][i] for i in range(n)]
-    q_inv = linalg.inverse(q)
+    f, g = [], []
+    for i, row in enumerate(b.matrix):
+        e = ctx.blade(1 << i, INV_SQRT2)
+        bt = Multivector(ctx, {1 << (n + k): INV_SQRT2 * c for k, c in enumerate(row)})
+        f.append(e + bt)
+        g.append(e - bt)
 
-    def rho(x: Vecfor) -> GtElement:
+    def anticommutator(u: Multivector, v: Multivector) -> Multivector:
+        return gp(u, v) + gp(v, u)
+
+    for i in range(n):
+        for j in range(n):
+            two_b = Scalar(2) * b.matrix[i][j]
+            if (
+                anticommutator(f[i], f[j]) != two_b
+                or anticommutator(g[i], g[j]) != -two_b
+                or anticommutator(f[i], g[j])
+            ):
+                return False
+
+    def rho(x: Vecfor) -> Multivector:
         plus, minus = rho_b_split(b, x)
-        out = {(1 << k, 0): c for k, c in enumerate(linalg.mat_vec(q_inv, list(plus))) if c}
-        out.update({(0, 1 << k): c for k, c in enumerate(linalg.mat_vec(q_inv, list(minus))) if c})
+        out = ctx.zero()
+        for cp, cm, fi, gi in zip(plus, minus, f, g):
+            out = out + fi.scale(cp) + gi.scale(cm)
         return out
 
     basis = witt_basis(ctx)
     images = [rho(x) for x in basis]
     for x, rx in zip(basis, images):
         for y, ry in zip(basis, images):
-            lhs = gt_add(gt_mul(rx, ry, metric), gt_mul(ry, rx, metric))
-            c = Scalar(2) * vec_pairing(x, y)
-            if lhs != ({(0, 0): c} if c else {}):
+            if anticommutator(rx, ry) != Scalar(2) * vec_pairing(x, y):
                 return False
     return True

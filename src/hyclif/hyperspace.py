@@ -10,7 +10,7 @@ orientation element, and the second-order (doubled) space basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -203,6 +203,7 @@ class SymmetricForm:
     """Nondegenerate symmetric bilinear form on V, stored exactly."""
 
     matrix: tuple[tuple[Scalar, ...], ...]
+    _reciprocal: tuple[tuple[Scalar, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = tuple(_scalars(row) for row in self.matrix)
@@ -214,8 +215,11 @@ class SymmetricForm:
             for j in range(n):
                 if m[i][j] != m[j][i]:
                     raise ValueError("form matrix must be symmetric")
-        if not linalg.determinant([list(r) for r in m]):
-            raise ZeroDivisionError("form is singular")
+        try:
+            inv = linalg.inverse(m)
+        except ZeroDivisionError:
+            raise ZeroDivisionError("form is singular") from None
+        object.__setattr__(self, "_reciprocal", tuple(tuple(r) for r in inv))
 
     @property
     def dim(self) -> int:
@@ -232,12 +236,12 @@ class SymmetricForm:
         return out
 
     def reciprocal(self) -> linalg.Matrix:
-        """Matrix of the reciprocal form: b^{ik} b_{kj} = delta."""
-        return linalg.inverse([list(r) for r in self.matrix])
+        """Matrix of the reciprocal form: b^{ik} b_{kj} = delta (a copy)."""
+        return [list(r) for r in self._reciprocal]
 
     def raise_form(self, form: Sequence[Scalar]) -> list[Scalar]:
         """The vector b*(alpha, .) of V associated with a covector alpha."""
-        return linalg.mat_vec(self.reciprocal(), list(form))
+        return linalg.mat_vec(self._reciprocal, form)
 
 
 def identity_form(n: int) -> SymmetricForm:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .fock import FockMatrix, _fock_term, _tup, fock_basis
+from .fock import FockMatrix, _fock_term, fock_basis
 from .hyperspace import Vecfor
 from .multivector import AlgebraContext, Multivector, gp
 from .scalar import SQRT2, ZERO, Scalar
@@ -156,7 +156,7 @@ def module_action_matrix(ctx: AlgebraContext, x: Vecfor) -> FockMatrix:
         image = module_action(x, ctx.blade(mask))
         for m, c in image.terms.items():
             rows[index[m]][j] = c
-    return FockMatrix(ctx, _tup(rows))
+    return FockMatrix(ctx, rows)
 
 
 def conjugated_module_action(ctx: AlgebraContext, x: Vecfor) -> FockMatrix:
@@ -167,7 +167,7 @@ def conjugated_module_action(ctx: AlgebraContext, x: Vecfor) -> FockMatrix:
         [c * SQRT2 ** (si.bit_count() - sj.bit_count()) for sj, c in zip(basis, row)]
         for si, row in zip(basis, module_action_matrix(ctx, x).entries)
     ]
-    return FockMatrix(ctx, _tup(rows))
+    return FockMatrix(ctx, rows)
 
 
 # -- spinor component storage -----------------------------------------------------

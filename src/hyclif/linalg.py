@@ -200,57 +200,6 @@ def same_row_space(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]])
     return ra == rb == rank(list(a) + list(b))
 
 
-def congruence_diagonalize(m: Sequence[Sequence[Scalar]]) -> tuple[Matrix, Matrix]:
-    """Invertible Q with Q^T m Q diagonal, for symmetric nondegenerate m.
-
-    Plain symmetric elimination over the field; the diagonal entries are not
-    normalized, so no square roots are ever required.
-    """
-    n = len(m)
-    a = copy_matrix(m)
-    q = identity(n)
-    for k in range(n):
-        if not a[k][k]:
-            # try to bring a nonzero onto the diagonal
-            j = next((j for j in range(k + 1, n) if a[j][j]), None)
-            if j is not None:
-                _swap_sym(a, q, k, j)
-            else:
-                j = next((j for j in range(k + 1, n) if a[k][j]), None)
-                if j is None:
-                    raise ZeroDivisionError("form is singular")
-                _add_col(a, q, k, j, ONE)  # col_k += col_j makes a[k][k] = 2 a[k][j]
-        inv = a[k][k].inverse()
-        for j in range(k + 1, n):
-            if a[k][j]:
-                _add_col(a, q, j, k, -a[k][j] * inv)
-    for i in range(n):
-        for j in range(n):
-            if i != j and a[i][j]:
-                raise ZeroDivisionError("form is singular")
-        if not a[i][i]:
-            raise ZeroDivisionError("form is singular")
-    return q, a
-
-
-def _swap_sym(a: Matrix, q: Matrix, i: int, j: int) -> None:
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-    a[i], a[j] = a[j], a[i]
-    for row in q:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_col(a: Matrix, q: Matrix, dst: int, src: int, f: Scalar) -> None:
-    # congruence update col_dst += f * col_src (and the matching row update)
-    for row in a:
-        row[dst] = row[dst] + f * row[src]
-    for c in range(len(a)):
-        a[dst][c] = a[dst][c] + f * a[src][c]
-    for row in q:
-        row[dst] = row[dst] + f * row[src]
-
-
 def matrix_to_json(m: Sequence[Sequence[Scalar]]) -> list[list[dict]]:
     return [[x.to_json() for x in row] for row in m]
 

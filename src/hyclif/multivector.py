@@ -398,29 +398,6 @@ class Multivector:
         """Sign (-1)^(r(r+1)/2) per grade-r part."""
         return self._signed(lambda r: -1 if (r * (r + 1) // 2) & 1 else 1)
 
-    # -- derived operators (thin wrappers over the module functions) ----------
-
-    def wedge(self, other: Multivector) -> Multivector:
-        return wedge(self, other)
-
-    def gp(self, other: Multivector) -> Multivector:
-        return gp(self, other)
-
-    def lcontract(self, other: Multivector) -> Multivector:
-        return lcontract(self, other)
-
-    def rcontract(self, other: Multivector) -> Multivector:
-        return rcontract(self, other)
-
-    def bilinear(self, other: Multivector) -> Scalar:
-        return bilinear(self, other)
-
-    def hodge(self) -> Multivector:
-        return hodge(self)
-
-    def hodge_inv(self) -> Multivector:
-        return hodge_inv(self)
-
     # -- printing --------------------------------------------------------------
 
     def __str__(self) -> str:

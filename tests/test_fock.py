@@ -98,18 +98,22 @@ def test_even_odd_block_structure(n):
 
 def test_grandmother():
     assert grandmother_dimension_check(1) is True
+    with pytest.raises(ValueError, match="n <= 1"):
+        grandmother_dimension_check(2)
     with pytest.raises(ValueError):
         grandmother_dimension_check(3)
     for n in range(1, 5):
         assert (1 << (4 * n)) == (1 << (2 * n)) ** 2
 
 
-def test_tensor_split(ctx1, ctx2, rng):
+def test_tensor_split(ctx1, ctx2, ctx3, rng):
     assert tensor_split_check(identity_form(1), ctx1)
     assert tensor_split_check(identity_form(2), ctx2)
     assert tensor_split_check(SymmetricForm(((ONE, ZERO), (ZERO, -ONE))), ctx2)
     for _ in range(5):
         assert tensor_split_check(random_symmetric_form(2, rng), ctx2)
+    for _ in range(5):
+        assert tensor_split_check(random_symmetric_form(3, rng), ctx3)
 
 
 def test_tensor_split_rejects_singular(ctx1):

@@ -129,6 +129,27 @@ def test_rho_b_singular_rejected():
         SymmetricForm(((ZERO,),))
     with pytest.raises(ValueError):
         SymmetricForm(((ONE, ZERO), (ONE, ONE)))  # not symmetric
+    with pytest.raises(ZeroDivisionError, match="form is singular"):
+        SymmetricForm(((ONE, ONE), (ONE, ONE)))
+
+
+def test_form_inverts_once(ctx2, rng, monkeypatch):
+    import hyclif.linalg
+    from hyclif.suites import random_symmetric_form
+
+    b = random_symmetric_form(2, rng)
+    recip = b.reciprocal()
+    assert hyclif.linalg.mat_mul(recip, [list(r) for r in b.matrix]) == hyclif.linalg.identity(2)
+    recip[0][0] = recip[0][0] + ONE  # a copy: the form keeps its own
+    assert b.reciprocal() != recip
+    calls = []
+    inverse = hyclif.linalg.inverse
+    monkeypatch.setattr(hyclif.linalg, "inverse", lambda m: calls.append(m) or inverse(m))
+    x, y = random_vecfor(ctx2, rng), random_vecfor(ctx2, rng)
+    rho_b_split(b, x)
+    rho_b_pairing(b, x, y)
+    sigma_image_basis(b, ctx2)
+    assert calls == []
 
 
 def test_sigma_image_basis(ctx2):

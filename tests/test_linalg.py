@@ -166,29 +166,3 @@ def test_row_space_predicates():
     assert linalg.same_row_space(a, b)
     assert linalg.row_space_contains(a, [Scalar(2), Scalar(3), Scalar(2)])
     assert not linalg.row_space_contains(a, [Scalar(1), Scalar(0), Scalar(0)])
-
-
-def test_congruence_diagonalize():
-    import random
-
-    rng = random.Random(9)
-    for _ in range(25):
-        n = rng.randint(1, 4)
-        while True:
-            raw = [[Scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3))) for _ in range(n)] for _ in range(n)]
-            sym = [[raw[i][j] + raw[j][i] for j in range(n)] for i in range(n)]
-            if linalg.determinant(sym):
-                break
-        q, d = linalg.congruence_diagonalize(sym)
-        qt = linalg.transpose(q)
-        assert linalg.mat_mul(qt, linalg.mat_mul(sym, q)) == d
-        for i in range(n):
-            assert d[i][i]
-            for j in range(n):
-                if i != j:
-                    assert not d[i][j]
-
-
-def test_congruence_rejects_singular():
-    with pytest.raises(ZeroDivisionError):
-        linalg.congruence_diagonalize(m([[1, 1], [1, 1]]))
