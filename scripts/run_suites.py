@@ -8,7 +8,8 @@ import argparse
 import sys
 import time
 
-from hyclif.suites import MAX_RANK_SUITE_DIM, MAX_SUITE_DIM, RANK_SUITES, SUITE_NAMES, run_suite
+from hyclif.fock import MAX_SPAN_DIM
+from hyclif.suites import SUITE_NAMES, run_suite
 
 
 def main() -> int:
@@ -19,8 +20,7 @@ def main() -> int:
 
     failures = 0
     for name in SUITE_NAMES:
-        top = MAX_RANK_SUITE_DIM if name in RANK_SUITES else MAX_SUITE_DIM
-        for n in range(1, top + 1):
+        for n in range(1, MAX_SPAN_DIM + 1):
             start = time.perf_counter()
             report = run_suite(name, n, trials=args.trials, seed=args.seed)
             elapsed = time.perf_counter() - start

@@ -12,7 +12,7 @@ import re
 import sys
 from typing import Sequence, TextIO
 
-from .exprparse import FUNCTIONS, ParseError, eval_source
+from .exprparse import RESERVED, ParseError, eval_source
 from .multivector import MAX_DIM, AlgebraContext, Multivector
 from .suites import SUITE_NAMES, run_suite
 from .tables import FORMATS, PRODUCTS, emit_table
@@ -130,7 +130,7 @@ def repl(ctx: AlgebraContext, stdin: TextIO, stdout: TextIO) -> int:
                 print("error: usage :let name = expr", file=stdout)
                 continue
             name, src = m.group(1), m.group(2)
-            if name in FUNCTIONS or name in ("sigma", "r2") or _GENERATOR_NAME.match(name):
+            if name in RESERVED or _GENERATOR_NAME.match(name):
                 print(f"error: {name!r} is reserved", file=stdout)
                 continue
             try:

@@ -31,7 +31,7 @@ from .hyperspace import (
 from .multivector import AlgebraContext, Multivector, _odd_swaps, gp
 from .scalar import INV_SQRT2, ONE, SQRT2, Scalar
 
-MAX_END_ISO_DIM = 3  # the End isomorphism (4^n rows of 4^n entries) and block checks stop here
+MAX_SPAN_DIM = 4  # largest n for the suites and the exact spans (End iso rank, spinor ideals); a resource bound
 
 
 def fock_basis(n: int) -> list[int]:
@@ -173,8 +173,8 @@ def rep(u: Multivector) -> FockMatrix:
 
 def verify_end_iso(n: int) -> dict:
     """Exact rank of the flattened blade images; isomorphism iff rank == 4^n."""
-    if not 1 <= n <= MAX_END_ISO_DIM:
-        raise ValueError(f"verify_end_iso supports 1 <= n <= {MAX_END_ISO_DIM}, got {n}")
+    if not 1 <= n <= MAX_SPAN_DIM:
+        raise ValueError(f"verify_end_iso supports 1 <= n <= {MAX_SPAN_DIM}, got {n}")
     rows: dict[int, linalg.SparseRow] = {}
     for a in range(1 << (2 * n)):
         # blade a's sparse matrix, flattened: entry (s2, s) goes to column s2 << n | s
@@ -185,8 +185,8 @@ def verify_end_iso(n: int) -> dict:
 def even_odd_block_structure(n: int) -> bool:
     """Even blades act block-diagonally on the (even, odd) split of /\\V and
     odd blades act block-antidiagonally."""
-    if not 1 <= n <= MAX_END_ISO_DIM:
-        raise ValueError(f"supported for 1 <= n <= {MAX_END_ISO_DIM}, got {n}")
+    if not 1 <= n <= MAX_SPAN_DIM:
+        raise ValueError(f"supported for 1 <= n <= {MAX_SPAN_DIM}, got {n}")
     for a in range(1 << (2 * n)):
         for s in range(1 << n):
             term = _fock_term(a, s, n)
@@ -198,8 +198,8 @@ def even_odd_block_structure(n: int) -> bool:
 
 def grandmother_dimension_check(n: int = 1) -> bool:
     """Re-run the End iso on the doubled space: rank must be 16^n = (2^{2n})^2."""
-    if n < 1 or 2 * n > MAX_END_ISO_DIM:
-        raise ValueError(f"doubled-space check is too large for n = {n}; use n <= {MAX_END_ISO_DIM // 2}")
+    if n < 1 or 2 * n > MAX_SPAN_DIM:
+        raise ValueError(f"doubled-space check is too large for n = {n}; use n <= {MAX_SPAN_DIM // 2}")
     report = verify_end_iso(2 * n)
     return report["rank"] == 1 << (4 * n) and report["is_isomorphism"]
 

@@ -16,12 +16,11 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .fock import FockMatrix, _fock_term, fock_basis
+from .fock import MAX_SPAN_DIM, FockMatrix, _fock_term, fock_basis
 from .hyperspace import Vecfor
 from .multivector import AlgebraContext, Multivector, gp
 from .scalar import SQRT2, ZERO, Scalar
 
-MAX_IDEAL_DIM = 3  # minimality_check spans Cl * psi, up to 4^n rows, for each of its dim + 16 candidates
 MINIMALITY_TRIALS = 16  # random combinations tried beyond the span rows
 MINIMALITY_SEED = 0
 
@@ -66,6 +65,8 @@ def ideal_span(g: Multivector) -> IdealBasis:
             p = linalg.sparse_insert(rows, gp(x, r).terms)
             if p is not None:
                 todo.append(Multivector(ctx, rows[p]))
+                if len(todo) > 1 << ctx.num_generators:  # each new pivot is one of the 4^n blade masks
+                    raise RuntimeError("ideal span outgrew the algebra: elimination is inconsistent")
     return IdealBasis(generator=g, span=tuple(Multivector(ctx, rows[p]) for p in sorted(rows)))
 
 
@@ -77,8 +78,8 @@ def minimality_check(g: Multivector) -> bool:
     element regenerates a proper subideal.
     """
     ctx = g.context
-    if ctx.dim_n > MAX_IDEAL_DIM:
-        raise ValueError(f"minimality check supports n <= {MAX_IDEAL_DIM}")
+    if ctx.dim_n > MAX_SPAN_DIM:  # it spans Cl * psi for each of its dim + 16 candidates
+        raise ValueError(f"minimality check supports n <= {MAX_SPAN_DIM}")
     base = ideal_span(g)
     candidates = list(base.span)
     rng = random.Random(MINIMALITY_SEED)

@@ -165,15 +165,6 @@ class AlgebraContext:
             return f"e{g + 1}"
         return f"t{g - self.dim_n + 1}"
 
-    def generator_index(self, name: str) -> int:
-        kind, num = name[0], name[1:]
-        if kind not in ("e", "t") or not num.isdigit():
-            raise ValueError(f"unknown generator {name!r}")
-        k = int(num)
-        if not 1 <= k <= self.dim_n:
-            raise ValueError(f"generator index out of range for dim {self.dim_n}: {name!r}")
-        return k - 1 if kind == "e" else self.dim_n + k - 1
-
     def blade_name(self, mask: int) -> str:
         if mask == 0:
             return "1"
@@ -265,9 +256,6 @@ class Multivector:
 
     def grades(self) -> set[int]:
         return {grade_of(m) for m in self.terms}
-
-    def max_grade(self) -> int:
-        return max((grade_of(m) for m in self.terms), default=0)
 
     def coeff(self, mask: int) -> Scalar:
         return self.terms.get(mask, ZERO)

@@ -27,6 +27,7 @@ from .endo import (
     vecfor_endo,
 )
 from .fock import (
+    MAX_SPAN_DIM,
     clifford_map_matrix,
     even_odd_block_structure,
     grandmother_dimension_check,
@@ -87,9 +88,6 @@ from .multivector import (
 from .scalar import INV_SQRT2, ONE, ZERO, Scalar
 
 SUITE_NAMES = ("contractions", "products", "hodge", "witt", "endo", "ideals")
-RANK_SUITES = ("products", "ideals")  # these build exact 4^n-sized spans
-MAX_SUITE_DIM = 4
-MAX_RANK_SUITE_DIM = 3
 
 
 # -- random generators -----------------------------------------------------------
@@ -176,8 +174,10 @@ def random_symmetric_form(n: int, rng: random.Random) -> SymmetricForm:
     while True:
         m = [[Scalar(random_rational(rng)) for _ in range(n)] for _ in range(n)]
         sym = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
-        if linalg.determinant(sym):
+        try:
             return SymmetricForm(tuple(tuple(row) for row in sym))
+        except ZeroDivisionError:  # singular: draw again
+            pass
 
 
 def random_subspace(ctx: AlgebraContext, rng: random.Random, ambient: str = "V") -> Subspace:
@@ -201,13 +201,13 @@ class Identity:
     fn: Callable[[AlgebraContext, random.Random], Optional[str]]
     per_trial: bool = True
     min_n: int = 1
-    max_n: int = MAX_SUITE_DIM
+    max_n: int = MAX_SPAN_DIM
 
 
 IDENTITIES: list[Identity] = []
 
 
-def identity(suite: str, name: str, per_trial: bool = True, min_n: int = 1, max_n: int = MAX_SUITE_DIM):
+def identity(suite: str, name: str, per_trial: bool = True, min_n: int = 1, max_n: int = MAX_SPAN_DIM):
     def wrap(fn):
         IDENTITIES.append(Identity(suite, name, fn, per_trial, min_n, max_n))
         return fn
@@ -657,7 +657,7 @@ def _prod_sigma_square(ctx, rng):
     return None
 
 
-@identity("products", "rep is multiplicative: rep(u*v) = rep(u) rep(v)", max_n=MAX_RANK_SUITE_DIM)
+@identity("products", "rep is multiplicative: rep(u*v) = rep(u) rep(v)")
 def _prod_rep_hom(ctx, rng):
     u, v = random_multivector(ctx, rng), random_multivector(ctx, rng)
     if rep(gp(u, v)) != rep(u) * rep(v):
@@ -665,7 +665,7 @@ def _prod_rep_hom(ctx, rng):
     return None
 
 
-@identity("products", "blade images span all of End(/\\V)", per_trial=False, max_n=MAX_RANK_SUITE_DIM)
+@identity("products", "blade images span all of End(/\\V)", per_trial=False)
 def _prod_end_iso(ctx, rng):
     report = verify_end_iso(ctx.dim_n)
     expect = 1 << (2 * ctx.dim_n)
@@ -674,14 +674,14 @@ def _prod_end_iso(ctx, rng):
     return None
 
 
-@identity("products", "even/odd images are block (anti)diagonal", per_trial=False, max_n=MAX_RANK_SUITE_DIM)
+@identity("products", "even/odd images are block (anti)diagonal", per_trial=False)
 def _prod_even_odd_blocks(ctx, rng):
     if not even_odd_block_structure(ctx.dim_n):
         return "block structure violated"
     return None
 
 
-@identity("products", "graded tensor split holds for the identity form", per_trial=False, max_n=MAX_RANK_SUITE_DIM)
+@identity("products", "graded tensor split holds for the identity form", per_trial=False)
 def _prod_tensor_split_identity(ctx, rng):
     if not tensor_split_check(identity_form(ctx.dim_n), ctx):
         return "anticommutation failed for the identity form"
@@ -994,7 +994,7 @@ def _witt_orientation_pairing(ctx, rng):
     return None
 
 
-@identity("witt", "orientation is invariant under basis change", max_n=3)
+@identity("witt", "orientation is invariant under basis change")
 def _witt_orientation_invariance(ctx, rng):
     a = random_invertible_matrix(ctx.dim_n, rng)
     if orientation_from_dual_pair(ctx, a) != ctx.orientation():
@@ -1155,7 +1155,7 @@ def _endo_projection_null(ctx, rng):
     return None
 
 
-@identity("endo", "orthonormal projections are diagonal with 1 at k, n+k", per_trial=False, max_n=3)
+@identity("endo", "orthonormal projections are diagonal with 1 at k, n+k", per_trial=False)
 def _endo_projection_pattern(ctx, rng):
     n = ctx.dim_n
     for k, s in enumerate(sigma_basis(ctx)):
@@ -1183,7 +1183,7 @@ def _endo_reflection(ctx, rng):
     return None
 
 
-@identity("endo", "orthonormal reflections are diagonal with -1 at k, n+k", per_trial=False, max_n=3)
+@identity("endo", "orthonormal reflections are diagonal with -1 at k, n+k", per_trial=False)
 def _endo_reflection_pattern(ctx, rng):
     n = ctx.dim_n
     for k, s in enumerate(sigma_basis(ctx)):
@@ -1257,7 +1257,7 @@ def _endo_hyperplane(ctx, rng):
 # ---- ideals suite ----------------------------------------------------------------------
 
 
-@identity("ideals", "theta* ideal has dimension 2^n", per_trial=False, max_n=MAX_RANK_SUITE_DIM)
+@identity("ideals", "theta* ideal has dimension 2^n", per_trial=False)
 def _ideal_dim(ctx, rng):
     basis = ideal_span(theta_star(ctx))
     if basis.dim != 1 << ctx.dim_n:
@@ -1265,7 +1265,7 @@ def _ideal_dim(ctx, rng):
     return None
 
 
-@identity("ideals", "theta* generates a minimal ideal; 1 does not", per_trial=False, max_n=MAX_RANK_SUITE_DIM)
+@identity("ideals", "theta* generates a minimal ideal; 1 does not", per_trial=False)
 def _ideal_minimality(ctx, rng):
     if not minimality_check(theta_star(ctx)):
         return "theta* ideal not minimal"
@@ -1274,7 +1274,7 @@ def _ideal_minimality(ctx, rng):
     return None
 
 
-@identity("ideals", "left multiplication stays inside the ideal", max_n=MAX_RANK_SUITE_DIM)
+@identity("ideals", "left multiplication stays inside the ideal")
 def _ideal_left_closure(ctx, rng):
     u = random_multivector(ctx, rng)
     psi = module_map(random_multivector(ctx, rng, support_mask=ctx.e_star_mask))
@@ -1285,7 +1285,7 @@ def _ideal_left_closure(ctx, rng):
     return None
 
 
-@identity("ideals", "m^-1 rejects elements outside the ideal", max_n=MAX_RANK_SUITE_DIM)
+@identity("ideals", "m^-1 rejects elements outside the ideal")
 def _ideal_rejection(ctx, rng):
     # x has no term holding theta*, so m^-1 reads psi's preimage; only m(u) != v rejects
     psi = module_map(random_multivector(ctx, rng, support_mask=ctx.e_star_mask))
@@ -1299,7 +1299,7 @@ def _ideal_rejection(ctx, rng):
     return _fail("m^-1 accepted psi + x outside the ideal", psi=psi, x=x)
 
 
-@identity("ideals", "module action equals x_vec ^ u + 2 (x_form _| u)", max_n=MAX_RANK_SUITE_DIM)
+@identity("ideals", "module action equals x_vec ^ u + 2 (x_form _| u)")
 def _ideal_module_action(ctx, rng):
     x = random_vecfor(ctx, rng)
     u = random_multivector(ctx, rng, support_mask=ctx.e_star_mask)
@@ -1308,7 +1308,7 @@ def _ideal_module_action(ctx, rng):
     return _expect_zero(lhs - rhs, "m^-1(x m(u)) - x_vec ^ u - 2 (x_form _| u)", x=x.to_multivector(), u=u)
 
 
-@identity("ideals", "grade-scaling conjugation recovers the Fock action", max_n=MAX_RANK_SUITE_DIM)
+@identity("ideals", "grade-scaling conjugation recovers the Fock action")
 def _ideal_conjugation(ctx, rng):
     x = random_vecfor(ctx, rng)
     if conjugated_module_action(ctx, x) != clifford_map_matrix(ctx, x):
@@ -1368,10 +1368,8 @@ def run_suite(name: str, n: int, trials: int = 200, seed: int = 0) -> SuiteRepor
     idents = suite_identities(name)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rank_limited = name in RANK_SUITES or name == "all"
-    limit = MAX_RANK_SUITE_DIM if rank_limited else MAX_SUITE_DIM
-    if not 1 <= n <= limit:
-        raise ValueError(f"suite {name!r} supports 1 <= n <= {limit}, got {n}")
+    if not 1 <= n <= MAX_SPAN_DIM:
+        raise ValueError(f"suite {name!r} supports 1 <= n <= {MAX_SPAN_DIM}, got {n}")
     ctx = AlgebraContext(n)
     report = SuiteReport(suite=name, n=n, trials=trials, seed=seed)
     for ident in idents:

@@ -97,7 +97,27 @@ def test_minimality(n):
 
 def test_minimality_guard():
     with pytest.raises(ValueError):
-        minimality_check(theta_star(AlgebraContext(4)))
+        minimality_check(theta_star(AlgebraContext(5)))
+
+
+def test_ideal_span_stops_on_an_inconsistent_eliminator(monkeypatch):
+    # an eliminator that reports every product as a new row: the closure must
+    # fail once it holds more rows than the 4^n blades, not grow without bound
+    import hyclif.linalg
+
+    insert = hyclif.linalg.sparse_insert
+    calls = []
+
+    def always_new(rows, v):
+        calls.append(v)
+        if len(calls) > 10_000:  # keeps an unbounded closure from hanging the test
+            raise AssertionError("ideal_span ran past the call budget")
+        p = insert(rows, v)
+        return min(rows) if p is None else p
+
+    monkeypatch.setattr(hyclif.linalg, "sparse_insert", always_new)
+    with pytest.raises(RuntimeError, match="outgrew the algebra"):
+        ideal_span(theta_star(AlgebraContext(2)))
 
 
 def test_left_closure(ctx2, rng):

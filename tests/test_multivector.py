@@ -235,7 +235,7 @@ def test_gp_examples(ctx1):
 # -- oracle comparisons on random elements -----------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_bilinear_matches_oracle(n, rng):
     ctx = AlgebraContext(n)
     for _ in range(40):
@@ -243,7 +243,7 @@ def test_bilinear_matches_oracle(n, rng):
         assert bilinear(u, v) == bilinear_oracle(u, v)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_wedge_matches_oracle(n, rng):
     ctx = AlgebraContext(n)
     for _ in range(40):
@@ -261,7 +261,7 @@ def test_contractions_match_adjoint_oracle(n, rng):
         assert rcontract(u, v) == rcontract_oracle(u, v, duals)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_gp_matches_diagonal_oracle(n, rng):
     ctx = AlgebraContext(n)
     oracle = DiagonalProductOracle(ctx)

@@ -9,12 +9,15 @@ def test_unknown_suite():
 
 
 def test_dimension_guards():
+    # one resource bound, MAX_SPAN_DIM = 4, for every suite name
     with pytest.raises(ValueError):
-        run_suite("products", 4)  # exact-rank suites stop at n=3
+        run_suite("products", 5)
     with pytest.raises(ValueError):
-        run_suite("all", 4)
+        run_suite("all", 5)
     with pytest.raises(ValueError):
         run_suite("witt", 5)
+    with pytest.raises(ValueError):
+        run_suite("ideals", 0)
     with pytest.raises(ValueError):
         run_suite("contractions", 1, trials=0)
 
@@ -52,6 +55,40 @@ def test_determinism():
 def test_each_suite_green_at_n2(name):
     report = run_suite(name, 2, trials=10, seed=3)
     assert report.passed, report.render()
+
+
+def test_all_suites_green_at_n4():
+    # Cl(4,4): the End(/\V) rank over 256 blades and 16-dimensional spinor ideals
+    report = run_suite("all", 4, trials=2)
+    assert report.passed, report.render()
+    skipped = [line for line in report.lines if line.startswith("SKIP")]
+    assert len(skipped) == 2, skipped  # only the random-form split and the doubled space
+
+
+def test_random_symmetric_form_eliminates_once(monkeypatch):
+    import random
+
+    import hyclif.linalg
+    from hyclif.hyperspace import SymmetricForm
+    from hyclif.scalar import Scalar
+    from hyclif.suites import random_rational, random_symmetric_form
+
+    def old_draw(n, rng):  # the loop before it built the form directly
+        while True:
+            m = [[Scalar(random_rational(rng)) for _ in range(n)] for _ in range(n)]
+            sym = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+            if hyclif.linalg.determinant(sym):
+                return SymmetricForm(tuple(tuple(row) for row in sym))
+
+    expected_rng = random.Random(5)
+    expected = [old_draw(3, expected_rng) for _ in range(50)]
+    calls = []
+    determinant = hyclif.linalg.determinant
+    monkeypatch.setattr(hyclif.linalg, "determinant", lambda m: calls.append(m) or determinant(m))
+    rng = random.Random(5)
+    assert [random_symmetric_form(3, rng) for _ in range(50)] == expected
+    assert calls == []
+    assert rng.random() == expected_rng.random()  # the same RNG consumption
 
 
 def test_failure_reporting_shape(monkeypatch):
