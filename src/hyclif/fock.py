@@ -31,7 +31,7 @@ from .hyperspace import (
 from .multivector import AlgebraContext, Multivector, _odd_swaps, gp
 from .scalar import INV_SQRT2, ONE, SQRT2, Scalar
 
-MAX_SPAN_DIM = 4  # largest n for the suites and the exact spans (End iso rank, spinor ideals); a resource bound
+MAX_SPAN_DIM = 6  # largest n for the suites and the exact spans; a resource bound set by the End iso rank over 4^n blades
 
 
 def fock_basis(n: int) -> list[int]:

@@ -4,25 +4,24 @@ Left-multiplying the algebra onto theta* = t1^...^tn produces a 2^n-dimensional
 minimal left ideal; the map m(u) = u * theta* identifies it with /\\V as a
 module, with vecfors acting by u -> x_vec ^ u + 2 (x_form _| u).  Ideal bases
 are unique reduced row echelon forms (RREF) in blade-mask order, from linalg's
-sparse elimination.  Spinors are elements supported on t-generators only,
-stored by strictly-increasing indices.
+sparse elimination.  Minimality is certified, not sampled: the Fock
+representation is an isomorphism Cl(H_V) = End(/\\V), under which Cl * g is
+the set of matrices whose rows lie in the row space of rep(g), so
+dim Cl * g = 2^n rank rep(g) and Cl * g is minimal iff rank rep(g) = 1.
+Spinors are elements supported on t-generators only, stored by
+strictly-increasing indices.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .fock import MAX_SPAN_DIM, FockMatrix, _fock_term, fock_basis
+from .fock import FockMatrix, _fock_term, fock_basis, rep
 from .hyperspace import Vecfor
 from .multivector import AlgebraContext, Multivector, gp
 from .scalar import SQRT2, ZERO, Scalar
-
-MINIMALITY_TRIALS = 16  # random combinations tried beyond the span rows
-MINIMALITY_SEED = 0
 
 
 def theta_star(ctx: AlgebraContext) -> Multivector:
@@ -71,28 +70,15 @@ def ideal_span(g: Multivector) -> IdealBasis:
 
 
 def minimality_check(g: Multivector) -> bool:
-    """True iff no sampled nonzero element of Cl*g generates a smaller ideal.
+    """True iff Cl * g is a minimal left ideal, that is iff rank rep(g) = 1.
 
-    Every span basis element is tried, plus MINIMALITY_TRIALS random nonzero
-    combinations drawn with MINIMALITY_SEED; minimality fails as soon as some
-    element regenerates a proper subideal.
+    rep is an isomorphism onto End(/\\V) (fock.verify_end_iso), so
+    dim Cl * g = 2^n rank rep(g); a nonzero g spans a minimal ideal exactly
+    when its Fock matrix has rank one.
     """
-    ctx = g.context
-    if ctx.dim_n > MAX_SPAN_DIM:  # it spans Cl * psi for each of its dim + 16 candidates
-        raise ValueError(f"minimality check supports n <= {MAX_SPAN_DIM}")
-    base = ideal_span(g)
-    candidates = list(base.span)
-    rng = random.Random(MINIMALITY_SEED)
-    for _ in range(MINIMALITY_TRIALS):
-        combo = ctx.zero()
-        while combo.is_zero():
-            for mv in base.span:
-                if rng.random() < 0.75:
-                    num = rng.randint(-4, 4)
-                    if num:
-                        combo = combo + mv.scale(Fraction(num, rng.randint(1, 4)))
-        candidates.append(combo)
-    return all(ideal_span(psi).dim == base.dim for psi in candidates)
+    if g.is_zero():
+        raise ValueError("zero generator spans the zero ideal")
+    return linalg.rank(rep(g).rows()) == 1
 
 
 # -- the Fock-module structure of the ideal -------------------------------------

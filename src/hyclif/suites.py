@@ -1271,6 +1271,13 @@ def _ideal_minimality(ctx, rng):
         return "theta* ideal not minimal"
     if minimality_check(ctx.scalar(1)):
         return "the unit ideal reported minimal"
+    # the span engine as the independent side of the rank certificate
+    g = ctx.zero()
+    while g.is_zero():
+        for _ in range(2):
+            g = g + gp(gp(random_multivector(ctx, rng), theta_star(ctx)), random_multivector(ctx, rng))
+    if ideal_span(g).dim != (1 << ctx.dim_n) * linalg.rank(rep(g).rows()):
+        return _fail("dim Cl*g != 2^n rank rep(g)", g=g)
     return None
 
 

@@ -55,7 +55,7 @@ def test_check_unknown_suite(capsys):
 
 def test_check_dim_too_large(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["--dim", "5", "check", "--suite", "products"])
+        main(["--dim", "7", "check", "--suite", "products"])
     assert exc.value.code == EXIT_USAGE
 
 

@@ -86,7 +86,7 @@ def test_verify_end_iso_matches_dense_rank(n):
 
 def test_verify_end_iso_guard():
     with pytest.raises(ValueError):
-        verify_end_iso(5)
+        verify_end_iso(7)
     with pytest.raises(ValueError):
         verify_end_iso(0)
 
@@ -99,8 +99,8 @@ def test_even_odd_block_structure(n):
 def test_grandmother():
     assert grandmother_dimension_check(1) is True
     assert grandmother_dimension_check(2) is True
-    with pytest.raises(ValueError, match="n <= 2"):
-        grandmother_dimension_check(3)
+    with pytest.raises(ValueError, match="n <= 3"):
+        grandmother_dimension_check(4)
     for n in range(1, 5):
         assert (1 << (4 * n)) == (1 << (2 * n)) ** 2
 

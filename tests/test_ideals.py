@@ -1,7 +1,8 @@
 import pytest
 from test_linalg import dense_rank, dense_row_echelon
 
-from hyclif.fock import clifford_map_matrix
+from hyclif import linalg
+from hyclif.fock import clifford_map_matrix, rep
 from hyclif.ideals import (
     SpinorRep,
     conjugated_module_action,
@@ -88,16 +89,76 @@ def test_ideal_span_matches_dense_rref(n, rng):
             assert not all(basis.contains(u) for u in others)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_minimality(n):
     ctx = AlgebraContext(n)
     assert minimality_check(theta_star(ctx)) is True
     assert minimality_check(ctx.scalar(1)) is False
-
-
-def test_minimality_guard():
     with pytest.raises(ValueError):
-        minimality_check(theta_star(AlgebraContext(5)))
+        minimality_check(ctx.zero())
+
+
+def _theta_sum(ctx, rng, k):
+    """sum of k terms u theta* v, redrawn until nonzero; rank rep <= k"""
+    g = ctx.zero()
+    while g.is_zero():
+        for _ in range(k):
+            u, v = random_multivector(ctx, rng), random_multivector(ctx, rng)
+            g = g + gp(gp(u, theta_star(ctx)), v)
+    return g
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_span_dimension_is_2n_rank_rep(n, rng):
+    # the closure engine against the rank certificate minimality_check rests on
+    ctx = AlgebraContext(n)
+    ranks = set()
+    for k in (1, 2, 3):
+        for _ in range(4):
+            g = _theta_sum(ctx, rng, k)
+            r = linalg.rank(rep(g).rows())
+            assert ideal_span(g).dim == (1 << n) * r
+            assert minimality_check(g) is (r == 1)
+            ranks.add(r)
+    assert 1 in ranks and max(ranks) >= 2
+
+
+def test_suite_catches_a_minimality_check_that_accepts_everything(monkeypatch):
+    import hyclif.suites
+
+    monkeypatch.setattr(hyclif.suites, "minimality_check", lambda g: True)
+    report = hyclif.suites.run_suite("ideals", 3, trials=2)
+    assert "FAIL ideals: theta* generates a minimal ideal; 1 does not" in report.render()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_minimality_identity_catches_a_dropped_pair_sign(n, monkeypatch):
+    # E_i = e_i ^ t_i acts as -1 on e_s for i outside s; a Fock engine that
+    # drops that sign leaves rep(theta*) and rep(1) alone, so only the
+    # identity's span-against-rank cross-check sees it
+    import random
+
+    import hyclif.fock
+    from hyclif.suites import _ideal_minimality
+
+    ctx = AlgebraContext(n)
+    seeds = range(10)
+    assert all(_ideal_minimality(ctx, random.Random(seed)) is None for seed in seeds)
+    fock_term = hyclif.fock._fock_term
+
+    def no_pair_sign(a, s, n):
+        term = fock_term(a, s, n)
+        if term is None:
+            return None
+        s2, odd, k = term
+        pairs = a & (a >> n) & ((1 << n) - 1)
+        return s2, (odd + (pairs & ~s).bit_count()) & 1, k
+
+    monkeypatch.setattr(hyclif.fock, "_fock_term", no_pair_sign)
+    failures = [_ideal_minimality(ctx, random.Random(seed)) for seed in seeds]
+    assert all(f is None or f.startswith("dim Cl*g != 2^n rank rep(g)") for f in failures), failures
+    # one draw per run; a draw escapes when the wrong rank happens to match
+    assert sum(f is not None for f in failures) > len(seeds) // 2, failures
 
 
 def test_ideal_span_stops_on_an_inconsistent_eliminator(monkeypatch):

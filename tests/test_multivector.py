@@ -10,9 +10,11 @@ frozen in the example tests were computed with these oracles.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyclif import linalg
 from hyclif.multivector import (
@@ -268,6 +270,31 @@ def test_gp_matches_diagonal_oracle(n, rng):
     for _ in range(15):
         u, v = random_multivector(ctx, rng), random_multivector(ctx, rng)
         assert gp(u, v) == oracle.gp(u, v)
+
+
+@cache
+def diagonal_oracle(n):
+    return DiagonalProductOracle(AlgebraContext(n))
+
+
+_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+_scalars = st.builds(Scalar, _rationals, _rationals)
+
+
+@st.composite
+def _operand_pairs(draw):
+    n = draw(st.integers(1, 3))
+    blades = st.dictionaries(st.integers(0, (1 << (2 * n)) - 1), _scalars, max_size=6)
+    return n, draw(blades), draw(blades)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_operand_pairs())
+def test_gp_matches_diagonal_oracle_property(case):
+    n, u_terms, v_terms = case
+    oracle = diagonal_oracle(n)
+    u, v = Multivector(oracle.ctx, u_terms), Multivector(oracle.ctx, v_terms)
+    assert gp(u, v) == oracle.gp(u, v)
 
 
 @pytest.mark.parametrize("n", [8, 14])

@@ -9,13 +9,13 @@ def test_unknown_suite():
 
 
 def test_dimension_guards():
-    # one resource bound, MAX_SPAN_DIM = 4, for every suite name
+    # one resource bound, MAX_SPAN_DIM = 6, for every suite name
     with pytest.raises(ValueError):
-        run_suite("products", 5)
+        run_suite("products", 7)
     with pytest.raises(ValueError):
-        run_suite("all", 5)
+        run_suite("all", 7)
     with pytest.raises(ValueError):
-        run_suite("witt", 5)
+        run_suite("witt", 7)
     with pytest.raises(ValueError):
         run_suite("ideals", 0)
     with pytest.raises(ValueError):
@@ -57,9 +57,10 @@ def test_each_suite_green_at_n2(name):
     assert report.passed, report.render()
 
 
-def test_all_suites_green_at_n4():
-    # Cl(4,4): the End(/\V) rank over 256 blades and 16-dimensional spinor ideals
-    report = run_suite("all", 4, trials=2)
+@pytest.mark.parametrize("n", [4, 5])
+def test_all_suites_green_above_n3(n):
+    # Cl(n,n): the End(/\V) rank over 4^n blades and 2^n-dimensional spinor ideals
+    report = run_suite("all", n, trials=2)
     assert report.passed, report.render()
     skipped = [line for line in report.lines if line.startswith("SKIP")]
     assert len(skipped) == 2, skipped  # only the random-form split and the doubled space
