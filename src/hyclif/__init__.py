@@ -26,7 +26,6 @@ from .hyperspace import (
     identity_form,
     isotropic_extension_of,
     null_subspace,
-    orientation_sigma,
     reciprocal_basis,
     rho_b_split,
     second_order_basis,

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from . import linalg
-from .hyperspace import Subspace, Vecfor, _scalars
+from .hyperspace import Subspace, Vecfor, _scalars, span
 from .multivector import AlgebraContext
 from .scalar import INV_SQRT2, ONE, ZERO, Scalar
 
@@ -25,6 +25,7 @@ class LinMapV:
 
     context: AlgebraContext
     matrix: tuple[tuple[Scalar, ...], ...]
+    ambient: ClassVar[str] = "V"
 
     def __post_init__(self):
         n = self.context.dim_n
@@ -37,70 +38,40 @@ class LinMapV:
         return [list(r) for r in self.matrix]
 
     def __str__(self) -> str:
-        return linalg.format_matrix(self.rows())
+        return linalg.format_matrix(self.matrix)
 
     def apply(self, v: Sequence[Scalar]) -> list[Scalar]:
-        return linalg.mat_vec(self.rows(), list(v))
+        return linalg.mat_vec(self.matrix, v)
 
     def compose(self, other: LinMapV) -> LinMapV:
-        return LinMapV(self.context, linalg.mat_mul(self.rows(), other.rows()))
+        return type(self)(self.context, linalg.mat_mul(self.matrix, other.matrix))
 
     def det(self) -> Scalar:
-        return linalg.determinant(self.rows())
+        return linalg.determinant(self.matrix)
 
     def trace(self) -> Scalar:
         return sum((self.matrix[i][i] for i in range(len(self.matrix))), ZERO)
 
     def rank(self) -> int:
-        return linalg.rank(self.rows())
+        return linalg.rank(self.matrix)
 
     def kernel(self) -> Subspace:
-        return Subspace(self.context, "V", tuple(tuple(v) for v in linalg.kernel_basis(self.rows())))
+        basis = linalg.kernel_basis(self.matrix)
+        return Subspace(self.context, self.ambient, tuple(tuple(v) for v in basis))
 
     def image(self) -> Subspace:
-        cols = linalg.transpose(self.rows())
-        ech, pivots = linalg.row_echelon(cols)
-        return Subspace(self.context, "V", tuple(tuple(ech[i]) for i in range(len(pivots))))
-
-
-@dataclass(frozen=True)
-class LinMapVDual:
-    """Endomorphism of V* in the t-basis (covector coordinates)."""
-
-    context: AlgebraContext
-    matrix: tuple[tuple[Scalar, ...], ...]
-
-    def __post_init__(self):
-        n = self.context.dim_n
-        rows = tuple(_scalars(row) for row in self.matrix)
-        object.__setattr__(self, "matrix", rows)
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ValueError(f"expected an {n}x{n} matrix")
-
-    def rows(self) -> linalg.Matrix:
-        return [list(r) for r in self.matrix]
-
-    def apply(self, form: Sequence[Scalar]) -> list[Scalar]:
-        return linalg.mat_vec(self.rows(), list(form))
-
-    def det(self) -> Scalar:
-        return linalg.determinant(self.rows())
-
-    def trace(self) -> Scalar:
-        return sum((self.matrix[i][i] for i in range(len(self.matrix))), ZERO)
-
-    def kernel(self) -> Subspace:
-        return Subspace(
-            self.context, "V_dual", tuple(tuple(v) for v in linalg.kernel_basis(self.rows()))
-        )
-
-    def image(self) -> Subspace:
-        cols = linalg.transpose(self.rows())
-        ech, pivots = linalg.row_echelon(cols)
-        return Subspace(self.context, "V_dual", tuple(tuple(ech[i]) for i in range(len(pivots))))
+        return span(self.context, self.ambient, linalg.transpose(self.matrix))
 
     def dual(self) -> LinMapV:
-        return LinMapV(self.context, linalg.transpose(self.rows()))
+        """(phi* alpha)(x) = alpha(phi x), on the other space: the transpose."""
+        other = LinMapVDual if self.ambient == "V" else LinMapV
+        return other(self.context, linalg.transpose(self.matrix))
+
+
+class LinMapVDual(LinMapV):
+    """Endomorphism of V* in the t-basis (covector coordinates)."""
+
+    ambient = "V_dual"
 
 
 @dataclass(frozen=True)
@@ -123,11 +94,11 @@ class HEndo:
     def apply(self, x: Vecfor) -> Vecfor:
         n = self.context.dim_n
         coords = list(x.vec) + list(x.form)
-        out = linalg.mat_vec(self.rows(), coords)
+        out = linalg.mat_vec(self.matrix, coords)
         return Vecfor(self.context, tuple(out[:n]), tuple(out[n:]))
 
     def compose(self, other: HEndo) -> HEndo:
-        return HEndo(self.context, linalg.mat_mul(self.rows(), other.rows()))
+        return HEndo(self.context, linalg.mat_mul(self.matrix, other.matrix))
 
     def is_block_diagonal(self) -> bool:
         n = self.context.dim_n
@@ -140,7 +111,7 @@ class HEndo:
     def adjoint(self) -> HEndo:
         """Dual with respect to the neutral pairing: G^-1 F^T G with G the Witt Gram."""
         g = self.context.gram
-        ft = linalg.transpose(self.rows())
+        ft = linalg.transpose(self.matrix)
         return HEndo(self.context, linalg.mat_mul(linalg.mat_mul(g, ft), g))
 
     def __eq__(self, other: object) -> bool:
@@ -149,10 +120,10 @@ class HEndo:
         return self.context is other.context and self.matrix == other.matrix
 
     def __str__(self) -> str:
-        return linalg.format_matrix(self.rows())
+        return linalg.format_matrix(self.matrix)
 
     def to_json(self) -> list[list[dict]]:
-        return linalg.matrix_to_json(self.rows())
+        return linalg.matrix_to_json(self.matrix)
 
 
 def identity_map(ctx: AlgebraContext) -> LinMapV:
@@ -165,7 +136,7 @@ def identity_hendo(ctx: AlgebraContext) -> HEndo:
 
 def dual_map(phi: LinMapV) -> LinMapVDual:
     """(phi* alpha)(x) = alpha(phi x); the t-basis matrix is the transpose."""
-    return LinMapVDual(phi.context, linalg.transpose(phi.rows()))
+    return phi.dual()
 
 
 def isotropic_extension(phi: LinMapV) -> HEndo:
@@ -237,10 +208,10 @@ def witt_to_sigma_matrix(ctx: AlgebraContext) -> linalg.Matrix:
 
 
 def endo_matrix_sigma(f: HEndo) -> linalg.Matrix:
-    """Matrix of f in the sigma basis: C^-1 (matrix) C."""
+    """Matrix of f in the sigma basis: C^-1 (matrix) C, where C^-1 = C^T since
+    C = (1/sqrt2)[[I, -I], [I, I]] is orthogonal."""
     c = witt_to_sigma_matrix(f.context)
-    c_inv = linalg.inverse(c)
-    return linalg.mat_mul(linalg.mat_mul(c_inv, f.rows()), c)
+    return linalg.mat_mul(linalg.mat_mul(linalg.transpose(c), f.matrix), c)
 
 
 def hyperplane_representation(

@@ -279,11 +279,16 @@ _AMBIENTS = ("V", "V_dual", "H_V")
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace given by an exact, linearly independent coordinate basis."""
+    """Subspace given by an exact, linearly independent coordinate basis.
+
+    The basis rows are kept as given; their reduced row echelon form, unique
+    for the span, is built once and answers contains and same_span.
+    """
 
     context: AlgebraContext
     ambient: str
     basis: tuple[tuple[Scalar, ...], ...]
+    _rref: dict[int, linalg.SparseRow] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.ambient not in _AMBIENTS:
@@ -293,27 +298,31 @@ class Subspace:
         width = self.context.dim_n * (2 if self.ambient == "H_V" else 1)
         if any(len(row) != width for row in rows):
             raise ValueError(f"expected coordinate width {width}")
-        if rows and linalg.rank([list(r) for r in rows]) != len(rows):
-            raise ValueError("basis rows are linearly dependent")
+        rref: dict[int, linalg.SparseRow] = {}
+        for row in rows:
+            if linalg.sparse_insert(rref, linalg.sparse_row(row)) is None:
+                raise ValueError("basis rows are linearly dependent")
+        object.__setattr__(self, "_rref", rref)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def matrix(self) -> linalg.Matrix:
-        return [list(r) for r in self.basis]
-
     def contains(self, v: Sequence[Scalar]) -> bool:
-        if not self.basis:
-            return all(not x for x in v)
-        return linalg.row_space_contains(self.matrix(), list(v))
+        return not linalg.sparse_reduce(self._rref, linalg.sparse_row(v))
 
     def same_span(self, other: Subspace) -> bool:
-        if self.ambient != other.ambient or self.context is not other.context:
-            return False
-        if not self.basis or not other.basis:
-            return self.dim == other.dim
-        return linalg.same_row_space(self.matrix(), other.matrix())
+        return (
+            self.ambient == other.ambient
+            and self.context is other.context
+            and self._rref == other._rref
+        )
+
+
+def span(ctx: AlgebraContext, ambient: str, rows: Sequence[Sequence[Scalar]]) -> Subspace:
+    """Subspace spanned by any rows; its basis is their RREF, pivots ascending."""
+    ech, pivots = linalg.row_echelon(rows)
+    return Subspace(ctx, ambient, tuple(tuple(r) for r in ech[: len(pivots)]))
 
 
 def subspace_from_json(ctx: AlgebraContext, ambient: str, rows: Sequence[Sequence[dict]]) -> Subspace:
@@ -323,9 +332,7 @@ def subspace_from_json(ctx: AlgebraContext, ambient: str, rows: Sequence[Sequenc
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    rows = a.matrix() + b.matrix()
-    ech, pivots = linalg.row_echelon(rows)
-    return Subspace(a.context, a.ambient, tuple(tuple(ech[i]) for i in range(len(pivots))))
+    return span(a.context, a.ambient, a.basis + b.basis)
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
@@ -346,10 +353,7 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
                 row = [x + ci * y for x, y in zip(row, a.basis[i])]
         if any(row):
             out_rows.append(row)
-    if not out_rows:
-        return Subspace(a.context, a.ambient, ())
-    ech, pivots = linalg.row_echelon(out_rows)
-    return Subspace(a.context, a.ambient, tuple(tuple(ech[i]) for i in range(len(pivots))))
+    return span(a.context, a.ambient, out_rows)
 
 
 def null_subspace(s: Subspace) -> Subspace:
@@ -360,7 +364,7 @@ def null_subspace(s: Subspace) -> Subspace:
     n = s.context.dim_n
     if s.dim == 0:
         return Subspace(s.context, dual_ambient, tuple(tuple(linalg.identity(n)[i]) for i in range(n)))
-    basis = linalg.kernel_basis(s.matrix())
+    basis = linalg.kernel_basis(s.basis)
     return Subspace(s.context, dual_ambient, tuple(tuple(v) for v in basis))
 
 
@@ -381,11 +385,6 @@ def hv_vecfor(ctx: AlgebraContext, coords: Sequence[Scalar]) -> Vecfor:
 
 
 # -- orientation -----------------------------------------------------------------
-
-
-def orientation_sigma(ctx: AlgebraContext) -> Multivector:
-    """The canonical 2n-blade; equals both s_1^...^s_2n and e_*^theta*."""
-    return ctx.orientation()
 
 
 def wedge_all(vectors: Sequence[Multivector]) -> Multivector:

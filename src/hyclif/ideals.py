@@ -133,27 +133,17 @@ def module_action_formula(x: Vecfor, u: Multivector) -> Multivector:
     return Multivector(ctx, out)
 
 
-def module_action_matrix(ctx: AlgebraContext, x: Vecfor) -> FockMatrix:
-    """Matrix of u -> m^-1(x * m(u)) on the (grade, lex) subset basis of /\\V."""
+def conjugated_module_action(ctx: AlgebraContext, x: Vecfor) -> FockMatrix:
+    """Grade-scaling conjugate D M D^-1 of the matrix M of u -> m^-1(x * m(u))
+    on the (grade, lex) subset basis of /\\V, with D = sqrt2^grade; equals the
+    Clifford map."""
     basis = fock_basis(ctx.dim_n)
     index = {m: i for i, m in enumerate(basis)}
     side = len(basis)
     rows = [[ZERO] * side for _ in range(side)]
     for j, mask in enumerate(basis):
-        image = module_action(x, ctx.blade(mask))
-        for m, c in image.terms.items():
-            rows[index[m]][j] = c
-    return FockMatrix(ctx, rows)
-
-
-def conjugated_module_action(ctx: AlgebraContext, x: Vecfor) -> FockMatrix:
-    """Grade-scaling conjugate D (module action) D^-1, with D = sqrt2^grade on
-    the subset basis; equals the Clifford map."""
-    basis = fock_basis(ctx.dim_n)
-    rows = [
-        [c * SQRT2 ** (si.bit_count() - sj.bit_count()) for sj, c in zip(basis, row)]
-        for si, row in zip(basis, module_action_matrix(ctx, x).entries)
-    ]
+        for m, c in module_action(x, ctx.blade(mask)).terms.items():
+            rows[index[m]][j] = c * SQRT2 ** (m.bit_count() - mask.bit_count())
     return FockMatrix(ctx, rows)
 
 

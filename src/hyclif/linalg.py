@@ -1,7 +1,8 @@
 """Exact linear algebra over Q(sqrt 2).
 
-Matrices are lists of rows of Scalars.  One sparse elimination serves
-row_echelon, rank, kernel_basis, solve, inverse and row_space_contains.  Its
+Matrices are lists of rows of Scalars.  One sparse elimination,
+sparse_insert/sparse_reduce, serves every function here (row_echelon, rank,
+kernel_basis, solve, inverse and determinant) and hyperspace.Subspace.  Its
 rows are dicts column -> nonzero Scalar, each 1 at its lowest column (its
 pivot), kept under that key, and 0 at the other rows' pivots: the unique
 reduced row echelon form (RREF), exact, so no result carries a tolerance.
@@ -24,10 +25,6 @@ def zeros(rows: int, cols: int) -> Matrix:
 
 def identity(n: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def copy_matrix(m: Sequence[Sequence[Scalar]]) -> Matrix:
-    return [list(row) for row in m]
 
 
 def transpose(m: Sequence[Sequence[Scalar]]) -> Matrix:
@@ -66,6 +63,10 @@ def mat_add(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> Mat
 
 def mat_scale(a: Sequence[Sequence[Scalar]], c: Scalar) -> Matrix:
     return [[c * x for x in row] for row in a]
+
+
+def sparse_row(v: Sequence[Scalar]) -> SparseRow:
+    return {j: x for j, x in enumerate(v) if x}
 
 
 def sparse_reduce(rows: dict[int, SparseRow], v: SparseRow) -> SparseRow:
@@ -107,7 +108,7 @@ def _sub_multiple(dst: SparseRow, c: Scalar, src: SparseRow) -> None:
 def _rref(m: Sequence[Sequence[Scalar]]) -> dict[int, SparseRow]:
     rows: dict[int, SparseRow] = {}
     for row in m:
-        sparse_insert(rows, {j: x for j, x in enumerate(row) if x})
+        sparse_insert(rows, sparse_row(row))
     return rows
 
 
@@ -166,38 +167,25 @@ def inverse(m: Sequence[Sequence[Scalar]]) -> Matrix:
 
 
 def determinant(m: Sequence[Sequence[Scalar]]) -> Scalar:
-    n = len(m)
-    if n == 0:
-        return ONE
-    a = copy_matrix(m)
+    """Product of the pivot values as each row is reduced by the earlier ones.
+
+    Reduced row i vanishes at the earlier pivots, so with the columns put in
+    pivot order the reduced rows are triangular: the sign is that of the
+    pivot permutation, one flip per earlier pivot to the right of the new one.
+    """
+    rows: dict[int, SparseRow] = {}
     det = ONE
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if a[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    for i, row in enumerate(m):
+        v = sparse_reduce(rows, sparse_row(row))
+        if not v:
             return ZERO
-        if pivot_row != c:
-            a[c], a[pivot_row] = a[pivot_row], a[c]
+        p = min(v)
+        det = v[p] * det
+        if sum(q > p for q in rows) % 2:
             det = -det
-        det = det * a[c][c]
-        inv = a[c][c].inverse()
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+        if i + 1 < len(m):  # v is reduced already; the last row reduces nothing
+            sparse_insert(rows, v)
     return det
-
-
-def row_space_contains(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> bool:
-    return not sparse_reduce(_rref(m), {j: x for j, x in enumerate(v) if x})
-
-
-def same_row_space(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> bool:
-    ra, rb = rank(a), rank(b)
-    return ra == rb == rank(list(a) + list(b))
 
 
 def matrix_to_json(m: Sequence[Sequence[Scalar]]) -> list[list[dict]]:

@@ -5,6 +5,7 @@ import pytest
 from hyclif import linalg
 from hyclif.endo import (
     LinMapV,
+    LinMapVDual,
     NullVecforError,
     dual_map,
     endo_matrix_sigma,
@@ -37,7 +38,9 @@ def test_dual_map_properties(ctx2, rng):
     for _ in range(25):
         phi, psi = random_linmap(ctx2, rng), random_linmap(ctx2, rng)
         d = dual_map(phi)
+        assert type(d) is LinMapVDual and type(d.dual()) is LinMapV
         assert d.dual().matrix == phi.matrix
+        assert d.image().ambient == d.kernel().ambient == "V_dual"
         assert d.det() == phi.det() and d.trace() == phi.trace()
         assert dual_map(phi.compose(psi)).rows() == linalg.mat_mul(
             dual_map(psi).rows(), dual_map(phi).rows()
@@ -134,6 +137,13 @@ def test_sigma_matrix_patterns(n):
                 r_expect = ZERO if i != j else (-ONE if i in (kk, n + kk) else ONE)
                 assert p[i][j] == p_expect
                 assert r[i][j] == r_expect
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sigma_change_of_basis_is_orthogonal(n):
+    # endo_matrix_sigma uses C^T for C^-1
+    c = witt_to_sigma_matrix(AlgebraContext(n))
+    assert linalg.mat_mul(linalg.transpose(c), c) == linalg.identity(2 * n)
 
 
 def test_sigma_change_of_basis_roundtrip(ctx2, rng):

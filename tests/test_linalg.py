@@ -1,9 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from hyclif import linalg
+from hyclif.hyperspace import Subspace, span
+from hyclif.multivector import AlgebraContext
 from hyclif.scalar import ONE, ZERO, Scalar
 
 
@@ -68,6 +71,19 @@ def dense_solve(m, b):
     return x
 
 
+def leibniz_det(a):
+    """Determinant as the signed sum over permutations (sign by inversion count)."""
+    n = len(a)
+    total = ZERO
+    for perm in itertools.permutations(range(n)):
+        term = ONE
+        for i, j in enumerate(perm):
+            term = term * a[i][j]
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
 def random_q2(rng):
     """A random element of Q(sqrt 2), zero half the time."""
     if rng.random() < 0.5:
@@ -100,6 +116,7 @@ SHAPES = {  # rows, cols, rank cap, zero rows
 def test_elimination_matches_dense_oracle(shape):
     rng = random.Random(f"linalg/{shape}")
     rows, cols, cap, zero_rows = SHAPES[shape]
+    ctx = AlgebraContext(cols)
     for _ in range(20):
         a = random_q2_matrix(rng, rows, cols, cap, zero_rows)
         assert linalg.row_echelon(a) == dense_row_echelon(a)
@@ -108,9 +125,24 @@ def test_elimination_matches_dense_oracle(shape):
         # a consistent right-hand side a x, and one drawn at random
         for b in (linalg.mat_vec(a, [random_q2(rng) for _ in range(cols)]), [random_q2(rng) for _ in a]):
             assert linalg.solve(a, b) == dense_solve(a, b)
-        # a combination of the rows, and a vector drawn at random
+        # the span of the rows: contains a combination of them, and a vector
+        # drawn at random exactly when the dense rank does not grow
+        s = span(ctx, "V", a)
+        assert s.basis == tuple(tuple(r) for r in dense_row_echelon(a)[0][: dense_rank(a)])
         for v in (linalg.mat_vec(linalg.transpose(a), [random_q2(rng) for _ in a]), [random_q2(rng) for _ in range(cols)]):
-            assert linalg.row_space_contains(a, v) == (dense_rank(a + [v]) == dense_rank(a))
+            assert s.contains(v) == (dense_rank(a + [v]) == dense_rank(a))
+        # the independent rows of a, kept as given, are another basis of the span;
+        # a random mix of the rows, or another draw, spans it exactly when the
+        # dense ranks agree
+        independent = []
+        for r in a:
+            if dense_rank(independent + [r]) > len(independent):
+                independent.append(r)
+        t = Subspace(ctx, "V", independent)
+        assert t.basis == tuple(tuple(r) for r in independent)
+        assert t.same_span(s) and s.same_span(t)
+        for b in (linalg.mat_mul(random_q2_matrix(rng, len(a), len(a)), a), random_q2_matrix(rng, rows, cols, cap)):
+            assert span(ctx, "V", b).same_span(s) == (dense_rank(b) == dense_rank(a) == dense_rank(a + b))
         if len(a) == cols:
             eye = linalg.identity(cols)
             ech, pivots = dense_row_echelon([list(r) + eye[i] for i, r in enumerate(a)])
@@ -160,9 +192,40 @@ def test_det_with_sqrt2_entries():
     assert linalg.determinant(a) == Scalar(1)  # 2 - 1
 
 
-def test_row_space_predicates():
-    a = m([[1, 0, 1], [0, 1, 0]])
-    b = m([[1, 1, 1], [1, -1, 1]])
-    assert linalg.same_row_space(a, b)
-    assert linalg.row_space_contains(a, [Scalar(2), Scalar(3), Scalar(2)])
-    assert not linalg.row_space_contains(a, [Scalar(1), Scalar(0), Scalar(0)])
+@pytest.mark.parametrize("size", range(6))
+def test_determinant_matches_leibniz_oracle(size):
+    rng = random.Random(f"det/{size}")
+    for _ in range(10):
+        a = random_q2_matrix(rng, size, size)  # half the entries are zero
+        shuffled = a[:]
+        rng.shuffle(shuffled)
+        for b in (a, shuffled, a[::-1]):
+            assert linalg.determinant(b) == leibniz_det(b)
+        if size:  # singular: a rank-deficient product (a zero row at size 1)
+            singular = random_q2_matrix(rng, size, size, size - 1) if size > 1 else [[ZERO]]
+            assert linalg.determinant(singular) == leibniz_det(singular) == ZERO
+    # row orders that need a swap at every pivot: permutation matrices
+    eye = linalg.identity(size)
+    for perm in itertools.permutations(range(size)):
+        p = [eye[i] for i in perm]
+        assert linalg.determinant(p) == leibniz_det(p) != ZERO
+
+
+def test_subspace_predicates():
+    ctx = AlgebraContext(3)
+    a = Subspace(ctx, "V", m([[1, 0, 1], [0, 1, 0]]))
+    b = Subspace(ctx, "V", m([[1, 1, 1], [1, -1, 1]]))
+    assert a.same_span(b) and b.same_span(a)
+    assert b.basis == tuple(tuple(r) for r in m([[1, 1, 1], [1, -1, 1]]))  # kept as given
+    assert span(ctx, "V", b.basis + a.basis).basis == a.basis  # the RREF rows
+    assert a.contains([Scalar(2), Scalar(3), Scalar(2)])
+    assert not a.contains([Scalar(1), Scalar(0), Scalar(0)])
+    assert not a.same_span(Subspace(ctx, "V_dual", a.basis))
+    assert not a.same_span(Subspace(ctx, "V", a.basis[:1]))
+    assert not a.same_span(Subspace(ctx, "V", m([[1, 0, 0], [0, 1, 0]])))  # same dim
+    empty = Subspace(ctx, "V", ())
+    assert empty.contains([ZERO] * 3) and not empty.contains([ZERO, ONE, ZERO])
+    assert empty.same_span(span(ctx, "V", [[ZERO] * 3])) and span(ctx, "V", []).dim == 0
+    assert not empty.same_span(a) and not a.same_span(empty)
+    with pytest.raises(ValueError):
+        Subspace(ctx, "V", m([[1, 0, 1], [2, 0, 2]]))
