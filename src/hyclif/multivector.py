@@ -12,6 +12,12 @@ are therefore computed in closed form, pair by pair, straight from the two
 masks; nothing is memoized.  The contractions are grade parts of that product
 (a _| b = <ab>_{|b|-|a|}, a |_ b = <ab>_{|a|-|b|}), and the pairing of two
 blades is a sign read off the masks.
+
+Each product has one row kernel, which multiplies one blade of u by every
+blade of v.  Both operands are split once per product into their e- and
+t-halves and the reorder parity between the two, and the kernel's first step
+per blade pair is a mask test that rejects the pairs whose product is 0: at
+large n most of them, since a pair e e or t t alone already kills a b.
 """
 
 from __future__ import annotations
@@ -22,8 +28,6 @@ from typing import Iterator, Union
 from .scalar import ONE, ZERO, Scalar, format_scalar
 
 MAX_DIM = 14  # masks fit in 28 bits, the width _odd_swaps covers
-
-BladeTerms = tuple[tuple[int, int], ...]  # (mask, sign) pairs
 
 ScalarLike = Union[Scalar, int, Fraction]
 
@@ -52,8 +56,15 @@ def _odd_swaps(a: int, b: int) -> int:
     return (s & b).bit_count() & 1
 
 
-def _witt_factors(a: int, b: int, n: int) -> tuple[int, int, int, int, int] | None:
-    """The blade product a b factored over the Witt pairs, or None when it is 0.
+def _witt_factors(
+    ae: int, at: int, sa: int, be: int, bt: int, sb: int
+) -> tuple[int, int, int, int, int]:
+    """The blade product a b factored over the Witt pairs.
+
+    a and b come split into their e-halves ae, be and t-halves at, bt (bit
+    k-1 of each half for pair k), with sa = _odd_swaps(ae, at) and sb likewise.
+    The caller has already rejected the pairs whose product is 0, those with a
+    pair e e or t t and nothing else there.
 
     Reordered into pair order (e1 t1 e2 t2 ...), a b is the graded product of
     one Cl(1,1) product per pair, on the basis {1, e, t, E = e ^ t}:
@@ -67,10 +78,6 @@ def _witt_factors(a: int, b: int, n: int) -> tuple[int, int, int, int, int] | No
     (E kept on the rest of fork), of sign exponent
     odd + |te - s| + _odd_swaps(re ^ s, rt ^ s).
     """
-    low = (1 << n) - 1
-    ae, at, be, bt = a & low, a >> n, b & low, b >> n
-    if ae & be & ~(at | bt) or at & bt & ~(ae | be):
-        return None
     # a pair keeps e where a and b hold more e's than t's there, t likewise,
     # and E where they hold one of each
     x, y = ae ^ be, at ^ bt
@@ -80,61 +87,71 @@ def _witt_factors(a: int, b: int, n: int) -> tuple[int, int, int, int, int] | No
     fork = x & y & ~(ae & at) & ~(be & bt)
     te = fork & at
     # a and b to pair order, b's pairs past a's later pairs, e E and E t
-    odd = (
-        _odd_swaps(ae, at)
-        + _odd_swaps(be, bt)
-        + _odd_swaps(ae ^ at, be ^ bt)
-        + (ae & bt & (at ^ be)).bit_count()
-    )
+    odd = sa + sb + _odd_swaps(ae ^ at, be ^ bt) + (ae & bt & (at ^ be)).bit_count()
     return re, rt, fork, te, odd
 
 
-def _product_terms(a: int, b: int, n: int) -> BladeTerms:
-    """Signed blade terms of the geometric product a b."""
-    factors = _witt_factors(a, b, n)
-    if factors is None:
-        return ()
-    re, rt, fork, te, odd = factors
-    out = []
-    s = fork
-    while True:  # every subset s of fork
-        e, t = re ^ s, rt ^ s
-        parity = odd + (te & ~s).bit_count() + _odd_swaps(e, t)
-        out.append((e | t << n, -1 if parity & 1 else 1))
-        if not s:
-            return tuple(out)
-        s = (s - 1) & fork
+# The row kernels multiply one split blade a = (ae, at, sa) by every split term
+# (be, bt, sb, cb) of the other operand.  Each tests first, on the masks alone,
+# whether the blade pair's product is 0, and yields (cb, terms) for the others,
+# every term a (mask, odd) pair of a blade and its sign parity.
 
 
-def _contraction_terms(a: int, b: int, n: int, grade: int) -> BladeTerms:
-    """The grade part of a b at the lowest grade it can have, |a| - |b| or |b| - |a|.
+def _product_row(ae: int, at: int, sa: int, vs: list, n: int) -> Iterator[tuple[Scalar, list]]:
+    """Rows of the geometric product: a pair e e or t t alone makes a b = 0."""
+    for be, bt, sb, cb in vs:
+        if ae & be & ~(at | bt) or at & bt & ~(ae | be):
+            continue
+        re, rt, fork, te, odd = _witt_factors(ae, at, sa, be, bt, sb)
+        terms = []
+        s = fork
+        while True:  # every subset s of fork
+            e, t = re ^ s, rt ^ s
+            terms.append((e | t << n, (odd + (te & ~s).bit_count() + _odd_swaps(e, t)) & 1))
+            if not s:
+                break
+            s = (s - 1) & fork
+        yield cb, terms
 
-    Only the term with every fork pair contracted has that grade.
-    """
-    if grade < 0:
-        return ()
-    factors = _witt_factors(a, b, n)
-    if factors is None:
-        return ()
-    re, rt, fork, _, odd = factors
+
+def _contracted(ae: int, at: int, sa: int, be: int, bt: int, sb: int, n: int) -> tuple[int, int]:
+    """The term of a b with every fork pair contracted, the only one of lowest grade."""
+    re, rt, fork, _, odd = _witt_factors(ae, at, sa, be, bt, sb)
     e, t = re ^ fork, rt ^ fork
-    if e.bit_count() + t.bit_count() != grade:
-        return ()
-    return ((e | t << n, -1 if (odd + _odd_swaps(e, t)) & 1 else 1),)
+    return e | t << n, (odd + _odd_swaps(e, t)) & 1
 
 
-def _left_terms(a: int, b: int, n: int) -> BladeTerms:
-    return _contraction_terms(a, b, n, b.bit_count() - a.bit_count())
+def _left_row(ae: int, at: int, sa: int, vs: list, n: int) -> Iterator[tuple[Scalar, tuple]]:
+    """Rows of a _| b = <ab>_{|b|-|a|}.
+
+    Each pair i contributes grades of at least |b_i| - |a_i| to a b, so a _| b
+    is the product of the lowest terms of all pairs and is nonzero iff each
+    pair reaches |b_i| - |a_i|: iff each e of a meets a t of b and each t of a
+    an e of b.
+    """
+    for be, bt, sb, cb in vs:
+        if ae & ~bt or at & ~be:
+            continue
+        yield cb, (_contracted(ae, at, sa, be, bt, sb, n),)
 
 
-def _right_terms(a: int, b: int, n: int) -> BladeTerms:
-    return _contraction_terms(a, b, n, a.bit_count() - b.bit_count())
+def _right_row(ae: int, at: int, sa: int, vs: list, n: int) -> Iterator[tuple[Scalar, tuple]]:
+    """Rows of a |_ b = <ab>_{|a|-|b|}, the mirror of _left_row: nonzero iff
+    each e of b meets a t of a and each t of b an e of a."""
+    for be, bt, sb, cb in vs:
+        if be & ~at or bt & ~ae:
+            continue
+        yield cb, (_contracted(ae, at, sa, be, bt, sb, n),)
 
 
-def _wedge_terms(a: int, b: int, n: int) -> BladeTerms:
-    if a & b:
-        return ()
-    return ((a | b, -1 if _odd_swaps(a, b) else 1),)
+def _wedge_row(ae: int, at: int, sa: int, vs: list, n: int) -> Iterator[tuple[Scalar, tuple]]:
+    """Rows of the wedge: overlapping blades annihilate, disjoint ones merge."""
+    a = ae | at << n
+    for be, bt, _, cb in vs:
+        if ae & be or at & bt:
+            continue
+        b = be | bt << n
+        yield cb, ((a | b, _odd_swaps(a, b)),)
 
 
 class AlgebraContext:
@@ -406,28 +423,44 @@ class Multivector:
 # -- the operations -------------------------------------------------------------
 
 
-def _extend(u: Multivector, v: Multivector, blade_terms) -> Multivector:
-    """Bilinear extension of a blade-level product given as signed terms."""
+def _split(u: Multivector) -> list[tuple[int, int, int, Scalar]]:
+    """The terms of u as (e-half, t-half, _odd_swaps(e-half, t-half), coefficient)."""
+    n = u.context.dim_n
+    low = (1 << n) - 1
+    out = []
+    for m, c in u.terms.items():
+        e, t = m & low, m >> n
+        out.append((e, t, _odd_swaps(e, t), c))
+    return out
+
+
+def _extend(u: Multivector, v: Multivector, row) -> Multivector:
+    """Bilinear extension of a blade-level product given by its row kernel."""
     _require_same_context(u, v)
     ctx = u.context
     n = ctx.dim_n
+    vs = _split(v)
     acc: dict[int, Scalar] = {}
-    for ma, ca in u.terms.items():
-        for mb, cb in v.terms.items():
-            terms = blade_terms(ma, mb, n)
-            if not terms:
-                continue
+    for ae, at, sa, ca in _split(u):
+        for cb, terms in row(ae, at, sa, vs, n):
             cab = ca * cb
-            for m, sign in terms:
-                add = cab if sign > 0 else -cab
+            neg = None
+            for m, odd in terms:
                 prev = acc.get(m)
-                acc[m] = add if prev is None else prev + add
+                if prev is not None:
+                    acc[m] = prev - cab if odd else prev + cab
+                elif not odd:
+                    acc[m] = cab
+                else:
+                    if neg is None:
+                        neg = -cab
+                    acc[m] = neg
     return Multivector(ctx, acc)
 
 
 def wedge(u: Multivector, v: Multivector) -> Multivector:
     """Exterior product; overlapping blades annihilate, disjoint ones merge."""
-    return _extend(u, v, _wedge_terms)
+    return _extend(u, v, _wedge_row)
 
 
 def bilinear(u: Multivector, v: Multivector) -> Scalar:
@@ -450,17 +483,17 @@ def bilinear(u: Multivector, v: Multivector) -> Scalar:
 
 def lcontract(u: Multivector, v: Multivector) -> Multivector:
     """Left contraction u _| v (adjoint of the wedge in the first slot)."""
-    return _extend(u, v, _left_terms)
+    return _extend(u, v, _left_row)
 
 
 def rcontract(u: Multivector, v: Multivector) -> Multivector:
     """Right contraction u |_ v (adjoint of the wedge in the second slot)."""
-    return _extend(u, v, _right_terms)
+    return _extend(u, v, _right_row)
 
 
 def gp(u: Multivector, v: Multivector) -> Multivector:
     """Geometric (Clifford) product, associative extension of x u = x _| u + x ^ u."""
-    return _extend(u, v, _product_terms)
+    return _extend(u, v, _product_row)
 
 
 def grade_part(u: Multivector, r: int) -> Multivector:

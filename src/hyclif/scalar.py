@@ -33,30 +33,35 @@ class Scalar:
     r: int  # common denominator, > 0
 
     def __init__(self, rat: RatLike = 0, sqrt2: RatLike = 0) -> None:
+        if type(rat) is int and type(sqrt2) is int:  # over r = 1, already normal
+            _set_p(self, rat)
+            _set_q(self, sqrt2)
+            _set_r(self, 1)
+            return
         a = _as_fraction(rat)
         b = _as_fraction(sqrt2)
         den = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
         p = a.numerator * (den // a.denominator)
         q = b.numerator * (den // b.denominator)
-        g = gcd(gcd(p, q), den)
-        object.__setattr__(self, "p", p // g)
-        object.__setattr__(self, "q", q // g)
-        object.__setattr__(self, "r", den // g)
+        g = gcd(p, q, den)
+        _set_p(self, p // g)
+        _set_q(self, q // g)
+        _set_r(self, den // g)
 
     @classmethod
     def _make(cls, p: int, q: int, r: int) -> Scalar:
         # fast path: build from raw integers, normalizing sign and gcd
         if r < 0:
             p, q, r = -p, -q, -r
-        g = gcd(gcd(p, q), r)
+        g = gcd(p, q, r)
         if g > 1:
             p //= g
             q //= g
             r //= g
         self = object.__new__(cls)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
+        _set_p(self, p)
+        _set_q(self, q)
+        _set_r(self, r)
         return self
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -126,7 +131,11 @@ class Scalar:
         return o - self
 
     def __neg__(self) -> Scalar:
-        return Scalar._make(-self.p, -self.q, self.r)
+        out = object.__new__(Scalar)  # negation keeps gcd(p, q, r) == 1
+        _set_p(out, -self.p)
+        _set_q(out, -self.q)
+        _set_r(out, self.r)
+        return out
 
     def __mul__(self, other: object) -> Scalar:
         if isinstance(other, int):
@@ -232,6 +241,10 @@ class Scalar:
         if not isinstance(obj, dict) or set(obj) != {"rat", "rat_r2"}:
             raise ValueError(f'a Scalar is {{"rat": ..., "rat_r2": ...}}, got {obj!r}')
         return cls(_parse_rational(obj["rat"]), _parse_rational(obj["rat_r2"]))
+
+
+# the slot setters, past Scalar.__setattr__, which refuses every assignment
+_set_p, _set_q, _set_r = Scalar.p.__set__, Scalar.q.__set__, Scalar.r.__set__
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")

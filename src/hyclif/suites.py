@@ -93,14 +93,17 @@ SUITE_NAMES = ("contractions", "products", "hodge", "witt", "endo", "ideals")
 # -- random generators -----------------------------------------------------------
 
 
-def random_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-8, 8), rng.randint(1, 8))
+def _random_rational(rng: random.Random) -> Scalar:
+    """A rational p/r with p in -8..8 and r in 1..8."""
+    return Scalar._make(rng.randint(-8, 8), 0, rng.randint(1, 8))
 
 
 def random_scalar(rng: random.Random) -> Scalar:
     if rng.random() < 0.25:
-        return Scalar(random_rational(rng), random_rational(rng))
-    return Scalar(random_rational(rng))
+        p, r = rng.randint(-8, 8), rng.randint(1, 8)
+        q, s = rng.randint(-8, 8), rng.randint(1, 8)
+        return Scalar._make(p * s, q * r, r * s)  # p/r + (q/s) sqrt2
+    return _random_rational(rng)
 
 
 def random_multivector(
@@ -159,20 +162,20 @@ def random_nonnull_vecfor(ctx: AlgebraContext, rng: random.Random) -> Vecfor:
 def random_linmap(ctx: AlgebraContext, rng: random.Random) -> LinMapV:
     n = ctx.dim_n
     return LinMapV(
-        ctx, tuple(tuple(Scalar(random_rational(rng)) for _ in range(n)) for _ in range(n))
+        ctx, tuple(tuple(_random_rational(rng) for _ in range(n)) for _ in range(n))
     )
 
 
 def random_invertible_matrix(n: int, rng: random.Random) -> list[list[Scalar]]:
     while True:
-        m = [[Scalar(random_rational(rng)) for _ in range(n)] for _ in range(n)]
+        m = [[_random_rational(rng) for _ in range(n)] for _ in range(n)]
         if linalg.determinant(m):
             return m
 
 
 def random_symmetric_form(n: int, rng: random.Random) -> SymmetricForm:
     while True:
-        m = [[Scalar(random_rational(rng)) for _ in range(n)] for _ in range(n)]
+        m = [[_random_rational(rng) for _ in range(n)] for _ in range(n)]
         sym = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
         try:
             return SymmetricForm(tuple(tuple(row) for row in sym))
@@ -186,7 +189,7 @@ def random_subspace(ctx: AlgebraContext, rng: random.Random, ambient: str = "V")
     rows: list[list[Scalar]] = []
     rref: dict[int, linalg.SparseRow] = {}
     while len(rows) < dim:
-        cand = [Scalar(random_rational(rng)) for _ in range(n)]
+        cand = [_random_rational(rng) for _ in range(n)]
         if linalg.sparse_insert(rref, linalg.sparse_row(cand)) is not None:
             rows.append(cand)
     return Subspace(ctx, ambient, tuple(tuple(r) for r in rows))
@@ -1222,12 +1225,12 @@ def _endo_rho_b_image(ctx, rng):
 @identity("endo", "hyperplane pair: exact kernel basis, point, and scaling laws")
 def _endo_hyperplane(ctx, rng):
     n = ctx.dim_n
-    alpha = [Scalar(random_rational(rng)) for _ in range(n)]
+    alpha = [_random_rational(rng) for _ in range(n)]
     if not any(alpha):
         alpha[rng.randrange(n)] = ONE
-    a = Scalar(random_rational(rng))
+    a = _random_rational(rng)
     while not a:
-        a = Scalar(random_rational(rng))
+        a = _random_rational(rng)
     basis, point = hyperplane_representation(ctx, alpha, a)
     if len(basis) != n - 1:
         return "S0 basis is not (n-1)-dimensional"
@@ -1236,9 +1239,9 @@ def _endo_hyperplane(ctx, rng):
             return "S0 vector not annihilated"
     if sum((c * w for c, w in zip(alpha, point)), ZERO) != a:
         return "alpha(point) != a"
-    factor = Scalar(random_rational(rng))
+    factor = _random_rational(rng)
     while not factor:
-        factor = Scalar(random_rational(rng))
+        factor = _random_rational(rng)
     scaled = [factor * c for c in alpha]
     _, point_scaled = hyperplane_representation(ctx, scaled, a)
     if point_scaled != tuple(factor.inverse() * c for c in point):

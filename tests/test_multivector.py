@@ -31,7 +31,7 @@ from hyclif.multivector import (
     wedge,
 )
 from hyclif.scalar import ONE, SQRT2, ZERO, Scalar
-from hyclif.suites import random_multivector, random_vecfor
+from hyclif.suites import random_multivector, random_scalar, random_vecfor
 
 # -- independent oracles ------------------------------------------------------------
 
@@ -319,6 +319,53 @@ def test_products_on_random_blades_at_large_n(n, rng):
             assert gp(x, b) == lcontract(x, b) + wedge(x, b)
             assert gp(b, x) == rcontract(b, x) + wedge(b, x)
     assert nonzero >= 5
+
+
+@pytest.mark.parametrize("n", [4, 8, 14])
+def test_row_kernels_agree_with_gp_grade_parts(n, rng):
+    # each row kernel rejects zero blade pairs on the masks alone; check the
+    # contractions and the wedge against grade parts of gp blade pair by blade
+    # pair, and the accumulation over whole sparse operands.  Some blades of v
+    # contain the Witt dual (e_k <-> t_k) of a blade of u, so that a _| b and
+    # b |_ a are nonzero for them.
+    ctx = AlgebraContext(n)
+    g = ctx.num_generators
+    full, low = 1 << g, (1 << n) - 1
+    hits = {"lcontract": 0, "rcontract": 0, "wedge": 0}
+
+    def sparse_mask():  # a quarter of the generators on average
+        return rng.randrange(full) & rng.randrange(full)
+
+    for _ in range(12):
+        u_masks = set()
+        while len(u_masks) < 5:
+            u_masks.add(sparse_mask())
+        v_masks = {m >> n | (m & low) << n | sparse_mask() for m in rng.sample(sorted(u_masks), 3)}
+        while len(v_masks) < 6:
+            v_masks.add(sparse_mask())
+        u = ctx.from_terms({m: random_scalar(rng) for m in u_masks})
+        v = ctx.from_terms({m: random_scalar(rng) for m in v_masks})
+        pair_sum = ctx.zero()
+        for ma, ca in u.terms.items():
+            for mb, cb in v.terms.items():
+                for a, b in ((ctx.blade(ma, ca), ctx.blade(mb, cb)),
+                             (ctx.blade(mb, cb), ctx.blade(ma, ca))):
+                    ga, gb = a.grades().pop(), b.grades().pop()
+                    ab = gp(a, b)
+                    left, right, outer = lcontract(a, b), rcontract(a, b), wedge(a, b)
+                    assert left == (ab.grade_part(gb - ga) if gb >= ga else ctx.zero())
+                    assert right == (ab.grade_part(ga - gb) if ga >= gb else ctx.zero())
+                    assert outer == (ab.grade_part(ga + gb) if ga + gb <= g else ctx.zero())
+                    hits["lcontract"] += bool(left)
+                    hits["rcontract"] += bool(right)
+                    hits["wedge"] += bool(outer)
+                pair_sum = pair_sum + gp(ctx.blade(ma, ca), ctx.blade(mb, cb))
+        assert gp(u, v) == pair_sum
+        for k in range(g):
+            x = ctx.generator(k)
+            assert gp(x, v) == lcontract(x, v) + wedge(x, v)
+            assert gp(v, x) == rcontract(v, x) + wedge(v, x)
+    assert min(hits.values()) >= 10, hits
 
 
 def test_context_holds_no_product_state(rng):

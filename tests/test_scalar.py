@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hyclif.scalar import INV_SQRT2, ONE, SQRT2, ZERO, Scalar, format_scalar
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+# small values share factors often; the wide ones pass 2^64
+integers = st.one_of(st.integers(-12, 12), st.integers(-(2**80), 2**80))
 scalars = st.builds(Scalar, rationals, rationals)
 
 
@@ -134,3 +136,23 @@ def test_immutability():
     s = Scalar(1)
     with pytest.raises(AttributeError):
         s.p = 2
+
+
+def triple(s):
+    return s.p, s.q, s.r
+
+
+@given(integers, integers, integers.filter(bool))
+@example(0, 0, -7)
+@example(6, -4, -2)
+@example(2**64 + 2, 0, -(2**65))
+def test_fast_construction_matches_fraction_path(p, q, r):
+    # _make, negation and Scalar(int, int) skip the Fraction path; each must
+    # give the normalized triple that path gives
+    expected = Scalar(Fraction(p, r), Fraction(q, r))
+    made = Scalar._make(p, q, r)
+    assert triple(made) == triple(expected)
+    assert triple(-made) == triple(Scalar(Fraction(-p, r), Fraction(-q, r)))
+    assert triple(Scalar(p, q)) == triple(Scalar(Fraction(p), Fraction(q)))
+    assert triple(Scalar(p)) == triple(Scalar(Fraction(p)))
+    assert all(type(x) is int for x in triple(made) + triple(-made) + triple(Scalar(p, q)))

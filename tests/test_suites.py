@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from hyclif.suites import IDENTITIES, SUITE_NAMES, run_suite, suite_identities
@@ -72,11 +74,12 @@ def test_random_symmetric_form_eliminates_once(monkeypatch):
     import hyclif.linalg
     from hyclif.hyperspace import SymmetricForm
     from hyclif.scalar import Scalar
-    from hyclif.suites import random_rational, random_symmetric_form
+    from hyclif.suites import random_symmetric_form
 
-    def old_draw(n, rng):  # the loop before it built the form directly
+    def old_draw(n, rng):  # the loop before it built the form directly, on Fraction draws
         while True:
-            m = [[Scalar(random_rational(rng)) for _ in range(n)] for _ in range(n)]
+            m = [[Scalar(Fraction(rng.randint(-8, 8), rng.randint(1, 8))) for _ in range(n)]
+                 for _ in range(n)]
             sym = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
             if hyclif.linalg.determinant(sym):
                 return SymmetricForm(tuple(tuple(row) for row in sym))
