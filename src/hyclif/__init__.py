@@ -22,7 +22,6 @@ from .hyperspace import (
     Vecfor,
     bracket,
     classify,
-    conjugate,
     identity_form,
     isotropic_extension_of,
     null_subspace,
@@ -38,7 +37,6 @@ from .endo import (
     HEndo,
     LinMapV,
     NullVecforError,
-    dual_map,
     endo_matrix_sigma,
     hyperplane_representation,
     isotropic_extension,
@@ -49,7 +47,6 @@ from .endo import (
 from .ideals import (
     IdealBasis,
     SpinorRep,
-    e_star,
     ideal_span,
     minimality_check,
     module_action,
@@ -58,7 +55,6 @@ from .ideals import (
     spinor_decompose,
     spinor_from_json,
     spinor_to_json,
-    theta_star,
 )
 from .multivector import (
     AlgebraContext,
@@ -66,14 +62,10 @@ from .multivector import (
     Multivector,
     bilinear,
     differential_apply,
-    even_part,
     gp,
-    grade_part,
     hodge,
     hodge_inv,
-    involution,
     lcontract,
-    odd_part,
     poincare_iso,
     rcontract,
     wedge,

@@ -126,23 +126,14 @@ class HEndo:
         return linalg.matrix_to_json(self.matrix)
 
 
-def identity_map(ctx: AlgebraContext) -> LinMapV:
-    return LinMapV(ctx, linalg.identity(ctx.dim_n))
-
-
 def identity_hendo(ctx: AlgebraContext) -> HEndo:
     return HEndo(ctx, linalg.identity(2 * ctx.dim_n))
-
-
-def dual_map(phi: LinMapV) -> LinMapVDual:
-    """(phi* alpha)(x) = alpha(phi x); the t-basis matrix is the transpose."""
-    return phi.dual()
 
 
 def isotropic_extension(phi: LinMapV) -> HEndo:
     """I(phi) = phi (+) phi*: block-diagonal on V + V*."""
     n = phi.context.dim_n
-    dual = dual_map(phi)
+    dual = phi.dual()
     rows = []
     for i in range(n):
         rows.append(tuple(phi.matrix[i]) + tuple([ZERO] * n))

@@ -354,7 +354,16 @@ def evaluate(
     if isinstance(node, Unary):
         return _UNARY_FNS[node.op](evaluate(node.arg, ctx, env))
     if isinstance(node, Binary):
-        return _BINARY_FNS[node.op](evaluate(node.left, ctx, env), evaluate(node.right, ctx, env))
+        # a flat chain like a + b + c nests to the left as deep as it is long:
+        # walk its left spine in a loop so that only right operands recurse
+        spine = []
+        while isinstance(node, Binary):
+            spine.append(node)
+            node = node.left
+        value = evaluate(node, ctx, env)
+        for b in reversed(spine):
+            value = _BINARY_FNS[b.op](value, evaluate(b.right, ctx, env))
+        return value
     if isinstance(node, Call):
         args = [evaluate(a, ctx, env) for a in node.args]
         if node.fn == "ip":
@@ -433,14 +442,20 @@ def _unparse(node: Expr) -> tuple[str, int]:
         space = " " if glyph in ("!c",) else ""
         return f"{glyph}{space}{body}", _UNARY_LEVEL
     if isinstance(node, Binary):
-        lvl = _LEVEL[node.op]
-        left, llvl = _unparse(node.left)
-        right, rlvl = _unparse(node.right)
-        if llvl < lvl:
-            left = f"({left})"
-        if rlvl <= lvl:  # left-assoc: parenthesize right at the same level
-            right = f"({right})"
-        return f"{left} {node.op} {right}", lvl
+        spine = []  # the left spine, walked in a loop as in evaluate
+        while isinstance(node, Binary):
+            spine.append(node)
+            node = node.left
+        text, level = _unparse(node)
+        for b in reversed(spine):
+            lvl = _LEVEL[b.op]
+            right, rlvl = _unparse(b.right)
+            if level < lvl:
+                text = f"({text})"
+            if rlvl <= lvl:  # left-assoc: parenthesize right at the same level
+                right = f"({right})"
+            text, level = f"{text} {b.op} {right}", lvl
+        return text, level
     if isinstance(node, Call):
         args = ", ".join(_unparse(a)[0] for a in node.args)
         return f"{node.fn}({args})", _PRIMARY_LEVEL

@@ -63,15 +63,6 @@ class FockMatrix:
     def __mul__(self, other: FockMatrix) -> FockMatrix:
         return FockMatrix(self.context, linalg.mat_mul(self.rows(), other.rows()))
 
-    def __add__(self, other: FockMatrix) -> FockMatrix:
-        return FockMatrix(self.context, linalg.mat_add(self.rows(), other.rows()))
-
-    def __sub__(self, other: FockMatrix) -> FockMatrix:
-        return self + other.scale(Scalar(-1))
-
-    def scale(self, c: Scalar) -> FockMatrix:
-        return FockMatrix(self.context, linalg.mat_scale(self.rows(), c))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FockMatrix):
             return NotImplemented
@@ -86,29 +77,8 @@ class FockMatrix:
             "entries": linalg.matrix_to_json(self.rows()),
         }
 
-    def to_csv_rows(self) -> list[list[str]]:
-        ctx = self.context
-        order = [ctx.blade_name(m) for m in fock_basis(ctx.dim_n)]
-        out = [[""] + order]
-        for label, row in zip(order, self.entries):
-            out.append([label] + [str(x) for x in row])
-        return out
-
-    def to_csv(self) -> str:
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows(self.to_csv_rows())
-        return buf.getvalue()
-
     def __str__(self) -> str:
         return linalg.format_matrix(self.rows())
-
-
-def fock_identity(ctx: AlgebraContext) -> FockMatrix:
-    return FockMatrix(ctx, linalg.identity(1 << ctx.dim_n))
 
 
 def _fock_term(a: int, s: int, n: int) -> tuple[int, int, int] | None:

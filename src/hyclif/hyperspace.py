@@ -51,15 +51,6 @@ class Vecfor:
                 terms[1 << (n + k)] = c
         return Multivector(self.context, terms)
 
-    @classmethod
-    def from_multivector(cls, u: Multivector) -> Vecfor:
-        if u.grades() - {1}:
-            raise ValueError("not a grade-1 element")
-        n = u.context.dim_n
-        vec = [u.coeff(1 << k) for k in range(n)]
-        form = [u.coeff(1 << (n + k)) for k in range(n)]
-        return cls(u.context, tuple(vec), tuple(form))
-
     def self_pairing(self) -> Scalar:
         """x_form(x_vec), the classifying contraction."""
         out = ZERO
@@ -118,10 +109,6 @@ def classify(x: Vecfor) -> tuple[str, str]:
     kind = "positive" if s > 0 else ("negative" if s < 0 else "null")
     unit = "unit" if (p == 1 or p == -1) else "non_unit"
     return kind, unit
-
-
-def conjugate(x: Vecfor) -> Vecfor:
-    return x.conjugate()
 
 
 def bracket(x: Vecfor, y: Vecfor) -> Scalar:
@@ -325,12 +312,6 @@ def span(ctx: AlgebraContext, ambient: str, rows: Sequence[Sequence[Scalar]]) ->
     return Subspace(ctx, ambient, tuple(tuple(r) for r in ech[: len(pivots)]))
 
 
-def subspace_from_json(ctx: AlgebraContext, ambient: str, rows: Sequence[Sequence[dict]]) -> Subspace:
-    """Subspace from rows of {"rat", "rat_r2"} coefficient objects."""
-    basis = tuple(tuple(Scalar.from_json(cell) for cell in row) for row in rows)
-    return Subspace(ctx, ambient, basis)
-
-
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     return span(a.context, a.ambient, a.basis + b.basis)
 
@@ -396,23 +377,14 @@ def wedge_all(vectors: Sequence[Multivector]) -> Multivector:
     return out
 
 
-def orientation_from_dual_pair(
-    ctx: AlgebraContext,
-    basis_rows: Sequence[Sequence[Scalar]],
-    dual_rows: Sequence[Sequence[Scalar]] | None = None,
-) -> Multivector:
-    """Rebuild e'_* ^ theta'* from a basis of V (rows) and its reciprocal of V*.
-
-    When dual_rows is omitted it is computed as the exact inverse-transpose.
-    """
+def orientation_from_dual_pair(ctx: AlgebraContext, basis_rows: Sequence[Sequence[Scalar]]) -> Multivector:
+    """Rebuild e'_* ^ theta'* from a basis of V (rows) and its reciprocal basis
+    of V*, the exact inverse-transpose."""
     n = ctx.dim_n
     rows = [list(_scalars(r)) for r in basis_rows]
     if len(rows) != n:
         raise ValueError("expected n basis rows")
-    if dual_rows is None:
-        dual = linalg.transpose(linalg.inverse(rows))
-    else:
-        dual = [list(_scalars(r)) for r in dual_rows]
+    dual = linalg.transpose(linalg.inverse(rows))
     e_vecs = [Vecfor(ctx, tuple(r), tuple([ZERO] * n)).to_multivector() for r in rows]
     t_vecs = [Vecfor(ctx, tuple([ZERO] * n), tuple(r)).to_multivector() for r in dual]
     return wedge_all(e_vecs + t_vecs)

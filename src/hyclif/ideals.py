@@ -24,14 +24,6 @@ from .multivector import AlgebraContext, Multivector, gp
 from .scalar import SQRT2, ZERO, Scalar
 
 
-def theta_star(ctx: AlgebraContext) -> Multivector:
-    return ctx.theta_star()
-
-
-def e_star(ctx: AlgebraContext) -> Multivector:
-    return ctx.e_star()
-
-
 @dataclass(frozen=True)
 class IdealBasis:
     """Left ideal Cl * generator; span is its unique RREF basis in blade-mask order."""
@@ -240,9 +232,11 @@ def spinor_to_json(rep: SpinorRep) -> dict:
 def spinor_from_json(ctx: AlgebraContext, obj: dict) -> SpinorRep:
     """Inverse of spinor_to_json, which writes every grade key.
 
-    Raises ValueError on a missing or unknown key, a grade list of the wrong
-    length, or a malformed Scalar.
+    Raises ValueError on a payload that is not an object, a missing or
+    unknown key, a grade list of the wrong length, or a malformed Scalar.
     """
+    if not isinstance(obj, dict):
+        raise ValueError(f"spinor payload must be a JSON object, got {type(obj).__name__}")
     n = ctx.dim_n
     keys = {_grade_key(n, r): r for r in range(n + 1)}
     if set(obj) != set(keys):

@@ -57,14 +57,6 @@ def mat_vec(a: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> Vector:
     return out
 
 
-def mat_add(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Sequence[Sequence[Scalar]], c: Scalar) -> Matrix:
-    return [[c * x for x in row] for row in a]
-
-
 def sparse_row(v: Sequence[Scalar]) -> SparseRow:
     return {j: x for j, x in enumerate(v) if x}
 

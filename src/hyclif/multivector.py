@@ -234,14 +234,6 @@ class AlgebraContext:
         """Canonical orientation 2n-blade: e1^...^en^t1^...^tn (= e_* ^ theta*)."""
         return self.blade(self.full_mask)
 
-    def from_terms(self, terms: dict[int, ScalarLike]) -> Multivector:
-        out: dict[int, Scalar] = {}
-        for mask, coeff in terms.items():
-            s = coeff if isinstance(coeff, Scalar) else Scalar(coeff)
-            if s:
-                out[mask] = out[mask] + s if mask in out else s
-        return Multivector(self, {m: c for m, c in out.items() if c})
-
     def __repr__(self) -> str:
         return f"AlgebraContext(dim_n={self.dim_n})"
 
@@ -494,31 +486,6 @@ def rcontract(u: Multivector, v: Multivector) -> Multivector:
 def gp(u: Multivector, v: Multivector) -> Multivector:
     """Geometric (Clifford) product, associative extension of x u = x _| u + x ^ u."""
     return _extend(u, v, _product_row)
-
-
-def grade_part(u: Multivector, r: int) -> Multivector:
-    return u.grade_part(r)
-
-
-def even_part(u: Multivector) -> Multivector:
-    return u.even_part()
-
-
-def odd_part(u: Multivector) -> Multivector:
-    return u.odd_part()
-
-
-_INVOLUTION_KINDS = ("grade", "reversion", "conjugation")
-
-
-def involution(u: Multivector, kind: str) -> Multivector:
-    if kind == "grade":
-        return u.grade_involution()
-    if kind == "reversion":
-        return u.reversion()
-    if kind == "conjugation":
-        return u.conjugation()
-    raise ValueError(f"unknown involution {kind!r}; expected one of {_INVOLUTION_KINDS}")
 
 
 def hodge(u: Multivector) -> Multivector:

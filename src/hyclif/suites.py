@@ -17,7 +17,6 @@ from . import linalg
 from .endo import (
     LinMapV,
     NullVecforError,
-    dual_map,
     endo_matrix_sigma,
     hyperplane_representation,
     identity_hendo,
@@ -41,7 +40,6 @@ from .hyperspace import (
     Vecfor,
     bracket,
     classify,
-    conjugate,
     hv_vecfor,
     identity_form,
     isotropic_extension_of,
@@ -63,14 +61,12 @@ from .hyperspace import (
 )
 from .ideals import (
     conjugated_module_action,
-    e_star,
     ideal_span,
     minimality_check,
     module_action,
     module_action_formula,
     module_map,
     module_map_inverse,
-    theta_star,
 )
 from .multivector import (
     AlgebraContext,
@@ -149,6 +145,15 @@ def random_vecfor(ctx: AlgebraContext, rng: random.Random) -> Vecfor:
         ctx,
         tuple(random_scalar(rng) if rng.random() < 0.8 else ZERO for _ in range(n)),
         tuple(random_scalar(rng) if rng.random() < 0.8 else ZERO for _ in range(n)),
+    )
+
+
+def _vec_and_form(x: Vecfor) -> tuple[Multivector, Multivector]:
+    """The V part x_vec and the V* part x_form of a vecfor, as multivectors."""
+    ctx, n = x.context, x.context.dim_n
+    return (
+        Multivector(ctx, {1 << k: c for k, c in enumerate(x.vec) if c}),
+        Multivector(ctx, {1 << (n + k): c for k, c in enumerate(x.form) if c}),
     )
 
 
@@ -431,9 +436,7 @@ def _contr_vector_mixed(ctx, rng):
     u_form = random_multivector(ctx, rng, support_mask=ctx.theta_star_mask)
     x = random_vecfor(ctx, rng)
     xm = x.to_multivector()
-    n = ctx.dim_n
-    x_vec = Multivector(ctx, {1 << k: c for k, c in enumerate(x.vec) if c})
-    x_form = Multivector(ctx, {1 << (n + k): c for k, c in enumerate(x.form) if c})
+    x_vec, x_form = _vec_and_form(x)
     u = wedge(u_vec, u_form)
     lhs = lcontract(xm, u)
     rhs = wedge(lcontract(x_form, u_vec), u_form) + wedge(
@@ -634,13 +637,11 @@ def _prod_involution_hom(ctx, rng):
 
 @identity("products", "vector times a split element expands by halves")
 def _prod_mixed_element(ctx, rng):
-    n = ctx.dim_n
     u_vec = random_multivector(ctx, rng, support_mask=ctx.e_star_mask)
     u_form = random_multivector(ctx, rng, support_mask=ctx.theta_star_mask)
     x = random_vecfor(ctx, rng)
     xm = x.to_multivector()
-    x_vec = Multivector(ctx, {1 << k: c for k, c in enumerate(x.vec) if c})
-    x_form = Multivector(ctx, {1 << (n + k): c for k, c in enumerate(x.form) if c})
+    x_vec, x_form = _vec_and_form(x)
     u = wedge(u_vec, u_form)
     lhs = gp(xm, u)
     rhs = wedge(gp(x_form, u_vec), u_form) + wedge(u_vec.grade_involution(), gp(x_vec, u_form))
@@ -698,14 +699,6 @@ def _prod_tensor_split_random(ctx, rng):
 def _prod_grandmother(ctx, rng):
     if not grandmother_dimension_check(ctx.dim_n):
         return "doubled-space rank mismatch"
-    return None
-
-
-@identity("products", "dimension identity 2^(4n) = (2^(2n))^2", per_trial=False)
-def _prod_dimension_identity(ctx, rng):
-    n = ctx.dim_n
-    if (1 << (4 * n)) != (1 << (2 * n)) ** 2:
-        return "dimension identity failed"
     return None
 
 
@@ -793,13 +786,11 @@ def _hodge_grade(ctx, rng):
 @identity("hodge", "vecfor dual: !x = (x_form _| e_*) ^ theta* - e_* ^ (theta* |_ x_vec)")
 def _hodge_vecfor(ctx, rng):
     x = random_vecfor(ctx, rng)
-    n = ctx.dim_n
     xm = x.to_multivector()
-    x_vec = Multivector(ctx, {1 << k: c for k, c in enumerate(x.vec) if c})
-    x_form = Multivector(ctx, {1 << (n + k): c for k, c in enumerate(x.form) if c})
+    x_vec, x_form = _vec_and_form(x)
     lhs = hodge(xm)
-    rhs = wedge(lcontract(x_form, e_star(ctx)), theta_star(ctx)) - wedge(
-        e_star(ctx), rcontract(theta_star(ctx), x_vec)
+    rhs = wedge(lcontract(x_form, ctx.e_star()), ctx.theta_star()) - wedge(
+        ctx.e_star(), rcontract(ctx.theta_star(), x_vec)
     )
     return _expect_zero(lhs - rhs, "!x - (x_form _| e_*) ^ t* + e_* ^ (t* |_ x_vec)", x=xm)
 
@@ -808,8 +799,8 @@ def _hodge_vecfor(ctx, rng):
 def _hodge_poincare(ctx, rng):
     u_form = random_multivector(ctx, rng, support_mask=ctx.theta_star_mask)
     u_vec = random_multivector(ctx, rng, support_mask=ctx.e_star_mask)
-    d1 = hodge(u_form) - wedge(poincare_iso(u_form, "sharp_down"), theta_star(ctx))
-    d2 = hodge(u_vec) - wedge(e_star(ctx), poincare_iso(u_vec, "sharp_up"))
+    d1 = hodge(u_form) - wedge(poincare_iso(u_form, "sharp_down"), ctx.theta_star())
+    d2 = hodge(u_vec) - wedge(ctx.e_star(), poincare_iso(u_vec, "sharp_up"))
     mixed = wedge(u_vec, u_form)
     d3 = hodge(mixed) - wedge(
         poincare_iso(u_form, "sharp_down"), poincare_iso(u_vec, "sharp_up")
@@ -904,7 +895,7 @@ def _witt_classify(ctx, rng):
 @identity("witt", "conjugate is orthogonal and flips the square")
 def _witt_conjugate(ctx, rng):
     x = random_vecfor(ctx, rng)
-    xb = conjugate(x)
+    xb = x.conjugate()
     d = vec_pairing(xb, x)
     d = d + vec_pairing(xb, xb) + vec_pairing(x, x)
     return _expect_zero(d, "<~x, x> and <~x,~x> + <x,x>", x=x.to_multivector())
@@ -915,7 +906,7 @@ def _witt_conjugate_components(ctx, rng):
     x = random_vecfor(ctx, rng)
     n = ctx.dim_n
     c = sigma_components(x)
-    cb = sigma_components(conjugate(x))
+    cb = sigma_components(x.conjugate())
     for k in range(n):
         if cb[k] != c[n + k] or cb[n + k] != c[k]:
             return _fail("component swap failed", x=x.to_multivector())
@@ -1057,13 +1048,13 @@ def _witt_isotropic_i(ctx, rng):
 @identity("endo", "dual map: involutive, trace/det preserving, anti-multiplicative")
 def _endo_dual_map(ctx, rng):
     phi, psi = random_linmap(ctx, rng), random_linmap(ctx, rng)
-    d = dual_map(phi)
+    d = phi.dual()
     if d.dual().matrix != phi.matrix:
         return "phi** != phi"
     if d.det() != phi.det() or d.trace() != phi.trace():
         return "det/trace not preserved"
-    lhs = dual_map(phi.compose(psi)).rows()
-    rhs = linalg.mat_mul(dual_map(psi).rows(), dual_map(phi).rows())
+    lhs = phi.compose(psi).dual().rows()
+    rhs = linalg.mat_mul(psi.dual().rows(), phi.dual().rows())
     if lhs != rhs:
         return "(phi psi)* != psi* phi*"
     if not d.kernel().same_span(null_subspace(phi.image())):
@@ -1078,7 +1069,7 @@ def _endo_dual_stability(ctx, rng):
     phi = random_linmap(ctx, rng)
     stable = phi.image()  # phi(im phi) <= im phi
     ann = null_subspace(stable)
-    d = dual_map(phi)
+    d = phi.dual()
     for row in ann.basis:
         if not ann.contains(d.apply(row)):
             return "phi*(S') not inside S'"
@@ -1116,7 +1107,7 @@ def _endo_vecfor(ctx, rng):
     gy = ZERO
     for a, b in zip(y.form, x.vec):
         gy = gy + a * b
-    if dual_map(phi).apply(y.form) != [gy * c for c in x.form]:
+    if phi.dual().apply(y.form) != [gy * c for c in x.form]:
         return _fail("x*(y*) != y*(x_vec) x_form", x=x.to_multivector(), y=y.to_multivector())
     if any(x.vec) and any(x.form) and phi.rank() != 1:
         return _fail("rank != 1", x=x.to_multivector())
@@ -1257,7 +1248,7 @@ def _endo_hyperplane(ctx, rng):
 
 @identity("ideals", "theta* ideal has dimension 2^n", per_trial=False)
 def _ideal_dim(ctx, rng):
-    basis = ideal_span(theta_star(ctx))
+    basis = ideal_span(ctx.theta_star())
     if basis.dim != 1 << ctx.dim_n:
         return f"dim = {basis.dim} != 2^n"
     return None
@@ -1265,7 +1256,7 @@ def _ideal_dim(ctx, rng):
 
 @identity("ideals", "theta* generates a minimal ideal; 1 does not", per_trial=False)
 def _ideal_minimality(ctx, rng):
-    if not minimality_check(theta_star(ctx)):
+    if not minimality_check(ctx.theta_star()):
         return "theta* ideal not minimal"
     if minimality_check(ctx.scalar(1)):
         return "the unit ideal reported minimal"
@@ -1273,7 +1264,7 @@ def _ideal_minimality(ctx, rng):
     g = ctx.zero()
     while g.is_zero():
         for _ in range(2):
-            g = g + gp(gp(random_multivector(ctx, rng), theta_star(ctx)), random_multivector(ctx, rng))
+            g = g + gp(gp(random_multivector(ctx, rng), ctx.theta_star()), random_multivector(ctx, rng))
     if ideal_span(g).dim != (1 << ctx.dim_n) * linalg.rank(rep(g).rows()):
         return _fail("dim Cl*g != 2^n rank rep(g)", g=g)
     return None
@@ -1330,10 +1321,10 @@ def _ideal_theta_wedge(ctx, rng):
 
 @identity("ideals", "top blades: t* squares to zero, e_* ^ t* is the orientation", per_trial=False)
 def _ideal_top_blades(ctx, rng):
-    ts = theta_star(ctx)
+    ts = ctx.theta_star()
     if not gp(ts, ts).is_zero():
         return "theta* * theta* != 0"
-    if wedge(e_star(ctx), ts) != ctx.orientation():
+    if wedge(ctx.e_star(), ts) != ctx.orientation():
         return "e_* ^ theta* != sigma"
     return None
 

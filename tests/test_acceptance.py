@@ -12,7 +12,6 @@ from fractions import Fraction
 from hyclif import linalg
 from hyclif.cli import main as cli_main
 from hyclif.endo import (
-    dual_map,
     endo_matrix_sigma,
     identity_hendo,
     projection,
@@ -28,7 +27,6 @@ from hyclif.fock import (
 )
 from hyclif.hyperspace import (
     SymmetricForm,
-    conjugate,
     hv_vecfor,
     identity_form,
     isotropic_extension_of,
@@ -50,7 +48,6 @@ from hyclif.ideals import (
     minimality_check,
     module_action,
     module_action_formula,
-    theta_star,
 )
 from hyclif.multivector import (
     AlgebraContext,
@@ -165,7 +162,7 @@ def test_criterion_05_component_roundtrip():
             comps = sigma_components(x)
             back = sigma_reconstruct(ctx, comps)
             assert back.vec == x.vec and back.form == x.form
-            swapped = sigma_components(conjugate(x))
+            swapped = sigma_components(x.conjugate())
             for k in range(n):
                 assert swapped[k] == comps[n + k] and swapped[n + k] == comps[k]
 
@@ -204,10 +201,10 @@ def test_criterion_07_endomorphisms():
         ctx = CONTEXTS[n]
         for _ in range(12):
             phi, psi = random_linmap(ctx, rng), random_linmap(ctx, rng)
-            d = dual_map(phi)
+            d = phi.dual()
             assert d.dual().matrix == phi.matrix
-            assert dual_map(phi.compose(psi)).rows() == linalg.mat_mul(
-                dual_map(psi).rows(), dual_map(phi).rows()
+            assert phi.compose(psi).dual().rows() == linalg.mat_mul(
+                psi.dual().rows(), phi.dual().rows()
             )
             assert d.kernel().same_span(null_subspace(phi.image()))
             assert d.image().same_span(null_subspace(phi.kernel()))
@@ -289,9 +286,9 @@ def test_criterion_11_ideals():
     rng = random.Random(SEED)
     for n in (1, 2, 3):
         ctx = CONTEXTS[n]
-        basis = ideal_span(theta_star(ctx))
+        basis = ideal_span(ctx.theta_star())
         assert basis.dim == 1 << n
-        assert minimality_check(theta_star(ctx)) is True
+        assert minimality_check(ctx.theta_star()) is True
         for _ in range(67):
             u = random_multivector(ctx, rng)
             psi = basis.span[rng.randrange(len(basis.span))]

@@ -1,5 +1,6 @@
 import io
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -7,6 +8,8 @@ import pytest
 
 from hyclif.cli import EXIT_EVAL, EXIT_OK, EXIT_SUITE, EXIT_USAGE, main, repl
 from hyclif.multivector import AlgebraContext
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run_main(capsys, *argv):
@@ -45,6 +48,12 @@ def test_check_passes(capsys):
     code, out, _ = run_main(capsys, "--dim", "1", "check", "--suite", "hodge", "--trials", "2", "--seed", "5")
     assert code == EXIT_OK
     assert "all identities hold" in out
+
+
+def test_check_report_matches_golden(capsys):
+    code, out, _ = run_main(capsys, "--dim", "2", "check", "--suite", "all", "--trials", "3", "--seed", "42")
+    assert code == EXIT_OK
+    assert out.encode() == (GOLDEN / "check_all_n2.txt").read_bytes()
 
 
 def test_check_unknown_suite(capsys):
@@ -114,6 +123,13 @@ def test_repl_session():
     assert lines[4] == "error: usage :let name = expr"
     assert lines[5].startswith("error: line 1, col 1: unknown atom")
     assert lines[6].startswith("error: unknown command")
+
+
+def test_repl_long_flat_line_keeps_session():
+    stdin = io.StringIO(" + ".join(["e1"] * 3000) + "\ne2\n")
+    stdout = io.StringIO()
+    assert repl(AlgebraContext(2), stdin, stdout) == EXIT_OK
+    assert stdout.getvalue().splitlines() == ["3000e1", "e2"]
 
 
 def test_repl_eof_exits():

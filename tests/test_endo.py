@@ -7,11 +7,9 @@ from hyclif.endo import (
     LinMapV,
     LinMapVDual,
     NullVecforError,
-    dual_map,
     endo_matrix_sigma,
     hyperplane_representation,
     identity_hendo,
-    identity_map,
     isotropic_extension,
     projection,
     reflection,
@@ -33,17 +31,17 @@ from hyclif.suites import random_linmap, random_nonnull_vecfor, random_vecfor
 
 
 def test_dual_map_properties(ctx2, rng):
-    ident = identity_map(ctx2)
-    assert dual_map(ident).dual().matrix == ident.matrix
+    ident = LinMapV(ctx2, linalg.identity(2))
+    assert ident.dual().dual().matrix == ident.matrix
     for _ in range(25):
         phi, psi = random_linmap(ctx2, rng), random_linmap(ctx2, rng)
-        d = dual_map(phi)
+        d = phi.dual()
         assert type(d) is LinMapVDual and type(d.dual()) is LinMapV
         assert d.dual().matrix == phi.matrix
         assert d.image().ambient == d.kernel().ambient == "V_dual"
         assert d.det() == phi.det() and d.trace() == phi.trace()
-        assert dual_map(phi.compose(psi)).rows() == linalg.mat_mul(
-            dual_map(psi).rows(), dual_map(phi).rows()
+        assert phi.compose(psi).dual().rows() == linalg.mat_mul(
+            psi.dual().rows(), phi.dual().rows()
         )
         assert d.kernel().same_span(null_subspace(phi.image()))
         assert d.image().same_span(null_subspace(phi.kernel()))
@@ -54,13 +52,13 @@ def test_dual_map_stability(ctx3, rng):
         phi = random_linmap(ctx3, rng)
         stable = phi.image()
         ann = null_subspace(stable)
-        d = dual_map(phi)
+        d = phi.dual()
         for row in ann.basis:
             assert ann.contains(d.apply(row))
 
 
 def test_isotropic_extension(ctx2, rng):
-    assert isotropic_extension(identity_map(ctx2)) == identity_hendo(ctx2)
+    assert isotropic_extension(LinMapV(ctx2, linalg.identity(2))) == identity_hendo(ctx2)
     for _ in range(20):
         phi = random_linmap(ctx2, rng)
         ext = isotropic_extension(phi)
@@ -181,7 +179,7 @@ def test_hendo_json(ctx1):
 
 def test_matrix_text_form(ctx1):
     assert str(identity_hendo(ctx1)) == "[ 1  0 ]\n[ 0  1 ]"
-    assert str(identity_map(ctx1)) == "[ 1 ]"
+    assert str(LinMapV(ctx1, linalg.identity(1))) == "[ 1 ]"
 
 
 def test_self_duality_in_sigma_representation(ctx2, rng):

@@ -5,7 +5,6 @@ from hyclif.fock import (
     clifford_map_matrix,
     even_odd_block_structure,
     fock_basis,
-    fock_identity,
     grandmother_dimension_check,
     rep,
     tensor_split_check,
@@ -35,19 +34,21 @@ def test_clifford_map_squares_to_pairing(n, rng):
     for _ in range(25):
         x = random_vecfor(ctx, rng)
         m = clifford_map_matrix(ctx, x)
-        assert m * m == fock_identity(ctx).scale(vec_pairing(x, x))
+        assert m * m == rep(ctx.scalar(vec_pairing(x, x)))
 
 
 def test_clifford_map_linear_in_x(ctx2, rng):
     for _ in range(10):
         x, y = random_vecfor(ctx2, rng), random_vecfor(ctx2, rng)
         lhs = clifford_map_matrix(ctx2, x + y)
-        rhs = clifford_map_matrix(ctx2, x) + clifford_map_matrix(ctx2, y)
-        assert lhs == rhs
+        mx, my = clifford_map_matrix(ctx2, x), clifford_map_matrix(ctx2, y)
+        assert lhs.entries == tuple(
+            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(mx.entries, my.entries)
+        )
 
 
 def test_rep_examples(ctx1):
-    assert rep(ctx1.scalar(1)) == fock_identity(ctx1)
+    assert rep(ctx1.scalar(1)).entries == ((ONE, ZERO), (ZERO, ONE))
     assert rep(ctx1.orientation()).entries == ((Scalar(-1), ZERO), (ZERO, ONE))
 
 
@@ -61,14 +62,14 @@ def test_rep_homomorphism(n, rng):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_rep_blade_recursion(n):
-    # rep(x ^ A) = rep(x) rep(A) - rep(x _| A) checks the closed-form Fock
+    # rep(x) rep(A) = rep(x ^ A + x _| A) checks the closed-form Fock
     # action against the blade kernel's wedge and contraction
     ctx = AlgebraContext(n)
     for g in range(2 * n):
         x = ctx.blade(1 << g)
         for a in range(1 << (2 * n)):
             blade = ctx.blade(a)
-            assert rep(wedge(x, blade)) == rep(x) * rep(blade) - rep(lcontract(x, blade))
+            assert rep(x) * rep(blade) == rep(wedge(x, blade) + lcontract(x, blade))
 
 
 @pytest.mark.parametrize("n, rank", [(1, 4), (2, 16)])
@@ -101,8 +102,6 @@ def test_grandmother():
     assert grandmother_dimension_check(2) is True
     with pytest.raises(ValueError, match="n <= 3"):
         grandmother_dimension_check(4)
-    for n in range(1, 5):
-        assert (1 << (4 * n)) == (1 << (2 * n)) ** 2
 
 
 def test_tensor_split(ctx1, ctx2, ctx3, rng):
@@ -123,9 +122,5 @@ def test_tensor_split_rejects_singular(ctx1):
 
 
 def test_fock_matrix_exports(ctx1):
-    payload = fock_identity(ctx1).to_json()
+    payload = rep(ctx1.scalar(1)).to_json()
     assert payload["dim"] == 1 and payload["basis"] == ["1", "e1"]
-    rows = fock_identity(ctx1).to_csv_rows()
-    assert rows[0] == ["", "1", "e1"]
-    assert rows[1] == ["1", "1", "0"]
-    assert fock_identity(ctx1).to_csv() == ",1,e1\n1,1,0\ne1,0,1\n"

@@ -6,7 +6,6 @@ from hyclif.fock import clifford_map_matrix, rep
 from hyclif.ideals import (
     SpinorRep,
     conjugated_module_action,
-    e_star,
     ideal_span,
     minimality_check,
     module_action,
@@ -17,7 +16,6 @@ from hyclif.ideals import (
     spinor_decompose,
     spinor_from_json,
     spinor_to_json,
-    theta_star,
 )
 from hyclif.multivector import AlgebraContext, Multivector, gp, wedge
 from hyclif.scalar import ONE, Scalar
@@ -25,10 +23,10 @@ from hyclif.suites import random_multivector, random_vecfor
 
 
 def test_top_blades(ctx2):
-    assert theta_star(ctx2) == wedge(ctx2.t(1), ctx2.t(2))
-    assert e_star(ctx2) == wedge(ctx2.e(1), ctx2.e(2))
-    assert gp(theta_star(ctx2), theta_star(ctx2)).is_zero()
-    assert wedge(e_star(ctx2), theta_star(ctx2)) == ctx2.orientation()
+    assert ctx2.theta_star() == wedge(ctx2.t(1), ctx2.t(2))
+    assert ctx2.e_star() == wedge(ctx2.e(1), ctx2.e(2))
+    assert gp(ctx2.theta_star(), ctx2.theta_star()).is_zero()
+    assert wedge(ctx2.e_star(), ctx2.theta_star()) == ctx2.orientation()
 
 
 def test_ideal_span_examples(ctx1, ctx2):
@@ -38,7 +36,7 @@ def test_ideal_span_examples(ctx1, ctx2):
     assert basis.contains(ctx1.scalar(1) + wedge(ctx1.e(1), ctx1.t(1)))
     assert not basis.contains(ctx1.e(1))
     assert ideal_span(ctx1.scalar(1)).dim == 4
-    assert ideal_span(theta_star(ctx2)).dim == 4
+    assert ideal_span(ctx2.theta_star()).dim == 4
     with pytest.raises(ValueError):
         ideal_span(ctx1.zero())
 
@@ -46,7 +44,7 @@ def test_ideal_span_examples(ctx1, ctx2):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ideal_dimension(n):
     ctx = AlgebraContext(n)
-    assert ideal_span(theta_star(ctx)).dim == 1 << n
+    assert ideal_span(ctx.theta_star()).dim == 1 << n
 
 
 def _dense_left_multiples(g):
@@ -61,8 +59,8 @@ def _row(ctx, dense_row):
 
 def _oracle_generators(ctx, rng):
     if ctx.dim_n == 3:
-        return [theta_star(ctx)]
-    return [theta_star(ctx), ctx.scalar(1), ctx.e(1), ctx.t(1)] + [
+        return [ctx.theta_star()]
+    return [ctx.theta_star(), ctx.scalar(1), ctx.e(1), ctx.t(1)] + [
         random_multivector(ctx, rng, support_mask=mask)
         for mask in (None, None, None, ctx.theta_star_mask, ctx.theta_star_mask)
     ]
@@ -92,7 +90,7 @@ def test_ideal_span_matches_dense_rref(n, rng):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_minimality(n):
     ctx = AlgebraContext(n)
-    assert minimality_check(theta_star(ctx)) is True
+    assert minimality_check(ctx.theta_star()) is True
     assert minimality_check(ctx.scalar(1)) is False
     with pytest.raises(ValueError):
         minimality_check(ctx.zero())
@@ -104,7 +102,7 @@ def _theta_sum(ctx, rng, k):
     while g.is_zero():
         for _ in range(k):
             u, v = random_multivector(ctx, rng), random_multivector(ctx, rng)
-            g = g + gp(gp(u, theta_star(ctx)), v)
+            g = g + gp(gp(u, ctx.theta_star()), v)
     return g
 
 
@@ -178,11 +176,11 @@ def test_ideal_span_stops_on_an_inconsistent_eliminator(monkeypatch):
 
     monkeypatch.setattr(hyclif.linalg, "sparse_insert", always_new)
     with pytest.raises(RuntimeError, match="outgrew the algebra"):
-        ideal_span(theta_star(AlgebraContext(2)))
+        ideal_span(AlgebraContext(2).theta_star())
 
 
 def test_left_closure(ctx2, rng):
-    basis = ideal_span(theta_star(ctx2))
+    basis = ideal_span(ctx2.theta_star())
     for _ in range(30):
         u = random_multivector(ctx2, rng)
         psi = basis.span[rng.randrange(len(basis.span))]
@@ -199,7 +197,7 @@ def test_module_map_bijection(ctx2, rng):
         module_map_inverse(ctx2.e(1))  # e1 is not in the theta* ideal
     with pytest.raises(ValueError):
         # the read finds u = 1 here; only the check m(u) == v rejects it
-        module_map_inverse(theta_star(ctx2) + ctx2.e(1))
+        module_map_inverse(ctx2.theta_star() + ctx2.e(1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -289,6 +287,12 @@ def test_spinor_json_rejects_missing_key(ctx2):
     del payload["f"]
     with pytest.raises(ValueError):
         spinor_from_json(ctx2, payload)
+
+
+@pytest.mark.parametrize("payload", ["sv", ["s", "v"], None, 7])
+def test_spinor_json_rejects_non_object(ctx1, payload):
+    with pytest.raises(ValueError):
+        spinor_from_json(ctx1, payload)
 
 
 def test_spinor_json_keys_n3():

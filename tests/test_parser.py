@@ -15,7 +15,7 @@ from hyclif.exprparse import (
     parse,
     unparse,
 )
-from hyclif.multivector import AlgebraContext, wedge
+from hyclif.multivector import AlgebraContext, Multivector, wedge
 from hyclif.scalar import SQRT2, Scalar
 from hyclif.suites import random_multivector
 
@@ -177,6 +177,15 @@ def test_canonical_form_reparses(ctx2, rng):
     for _ in range(60):
         u = random_multivector(ctx2, rng)
         assert eval_source(str(u), ctx2) == u
+
+
+def test_dense_canonical_form_reparses():
+    # 1024 terms: the parse is a left chain of 1023 additions
+    ctx = AlgebraContext(5)
+    u = Multivector(ctx, {m: Scalar(Fraction((-1) ** m * (m + 1), 7), m % 3) for m in range(1 << 10)})
+    text = str(u)
+    assert eval_source(text, ctx) == u
+    assert eval_source(unparse(parse(text, ctx)), ctx) == u
 
 
 def test_deep_nesting_errors_not_crashes(ctx2):
