@@ -30,6 +30,7 @@ from .hyperspace import sigma_vector
 from .multivector import (
     AlgebraContext,
     Multivector,
+    _require_same_context,
     bilinear,
     gp,
     hodge,
@@ -75,6 +76,28 @@ class Binary:
     op: str
     left: "Expr"
     right: "Expr"
+
+    # a flat chain like a + b + c nests to the left as deep as it is long, so
+    # compare and print walk the left spine in a loop, as evaluate does
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Binary):
+            return NotImplemented
+        a, b = self, other
+        while isinstance(a, Binary) and isinstance(b, Binary):
+            if a.op != b.op or a.right != b.right:
+                return False
+            a, b = a.left, b.left
+        return a == b
+
+    def __repr__(self) -> str:
+        head, tail = [], []
+        node = self
+        while isinstance(node, Binary):
+            head.append(f"Binary(op={node.op!r}, left=")
+            tail.append(f", right={node.right!r})")
+            node = node.left
+        return "".join(head) + repr(node) + "".join(reversed(tail))
 
 
 @dataclass(frozen=True)
@@ -332,9 +355,7 @@ _UNARY_FNS = {
     "!!": hodge_inv,
 }
 
-_BINARY_FNS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
+_BINARY_FNS = {  # the products; evaluate sums + and - in place
     "*": gp,
     "^": wedge,
     "_|": lcontract,
@@ -355,15 +376,32 @@ def evaluate(
         return _UNARY_FNS[node.op](evaluate(node.arg, ctx, env))
     if isinstance(node, Binary):
         # a flat chain like a + b + c nests to the left as deep as it is long:
-        # walk its left spine in a loop so that only right operands recurse
+        # walk its left spine in a loop so that only right operands recurse,
+        # and sum each run of + and - into one terms dict, not one copy a step
         spine = []
         while isinstance(node, Binary):
             spine.append(node)
             node = node.left
         value = evaluate(node, ctx, env)
+        acc = None
         for b in reversed(spine):
-            value = _BINARY_FNS[b.op](value, evaluate(b.right, ctx, env))
-        return value
+            right = evaluate(b.right, ctx, env)
+            product = _BINARY_FNS.get(b.op)
+            if product is not None:
+                if acc is not None:
+                    value, acc = Multivector(value.context, acc), None
+                value = product(value, right)
+                continue
+            _require_same_context(value, right)
+            if acc is None:
+                acc = dict(value.terms)
+            minus = b.op == "-"
+            for m, c in right.terms.items():
+                prev = acc.get(m)
+                if minus:
+                    c = -c
+                acc[m] = c if prev is None else prev + c
+        return value if acc is None else Multivector(value.context, acc)
     if isinstance(node, Call):
         args = [evaluate(a, ctx, env) for a in node.args]
         if node.fn == "ip":

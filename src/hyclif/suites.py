@@ -2,8 +2,8 @@
 
 Each suite bundles the exact (zero-tolerance) laws of one slice of the
 algebra; the runner draws seeded random operands per identity, so identical
-(seed, n, trials) always produce identical report bytes.  A failing identity
-reports a substituted counterexample in expression syntax where one exists.
+(seed, n, trials) always produce identical report bytes.  Most identities are
+laws (`_law`): expression text that is evaluated and, on failure, printed.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .endo import (
     reflection,
     vecfor_endo,
 )
+from .exprparse import evaluate, parse
 from .fock import (
     MAX_SPAN_DIM,
     clifford_map_matrix,
@@ -205,12 +206,17 @@ def random_subspace(ctx: AlgebraContext, rng: random.Random, ambient: str = "V")
 
 @dataclass
 class Identity:
+    """A check `fn(ctx, rng)` returning a failure text or None, or a law: a
+    `text` in the `eval` syntax that is zero on every `draw(ctx, rng)`."""
+
     suite: str
     name: str
-    fn: Callable[[AlgebraContext, random.Random], Optional[str]]
+    fn: Optional[Callable[[AlgebraContext, random.Random], Optional[str]]]
     per_trial: bool = True
     min_n: int = 1
     max_n: int = MAX_SPAN_DIM
+    text: Optional[str] = None
+    draw: Optional[Callable[[AlgebraContext, random.Random], dict[str, Multivector]]] = None
 
 
 IDENTITIES: list[Identity] = []
@@ -239,167 +245,84 @@ def _expect_zero(diff: Multivector | Scalar, template: str, **vals) -> Optional[
     return _fail(template, **vals)
 
 
+# A law is written once, as text: the runner evaluates that text on the drawn
+# operands, and a FAIL line prints it with them, so the counterexample it
+# shows is the expression that was computed.
+
+
+def _law(suite: str, name: str, text: str, draw) -> None:
+    IDENTITIES.append(Identity(suite, name, None, text=text, draw=draw))
+
+
+def _draw(**gens):
+    """The draw of one operand per name, each from its generator, in the order given."""
+    return lambda ctx, rng: {name: gen(ctx, rng) for name, gen in gens.items()}
+
+
+def _vecfor_mv(ctx, rng):
+    return random_vecfor(ctx, rng).to_multivector()
+
+
+def _covector(ctx, rng):
+    return random_multivector(ctx, rng, support_mask=ctx.theta_star_mask)
+
+
+# the draws most laws use: multivectors u, v, w and vecfors x, y
+_mv = random_multivector
+_U, _UV, _UVW = _draw(u=_mv), _draw(u=_mv, v=_mv), _draw(u=_mv, v=_mv, w=_mv)
+_XY, _XUV = _draw(x=_vecfor_mv, y=_vecfor_mv), _draw(x=_vecfor_mv, u=_mv, v=_mv)
+
+
+def _law_check(text: str, draw):
+    """The check of one run of a law; the text is parsed on the first trial."""
+    node = None
+
+    def check(ctx, rng):
+        nonlocal node
+        operands = draw(ctx, rng)
+        if node is None:
+            node = parse(text, ctx, operands)
+        return _fail(text, **operands) if evaluate(node, ctx, operands) else None
+
+    return check
+
+
 # ---- contractions suite (interior products and the differential) ------------------
 
 
-@identity("contractions", "grade-involution passes through _| and |_")
-def _contr_grade_inv(ctx, rng):
-    u = random_multivector(ctx, rng)
-    v = random_multivector(ctx, rng)
-    lhs = lcontract(u, v).grade_involution() - lcontract(u.grade_involution(), v.grade_involution())
-    rhs = rcontract(u, v).grade_involution() - rcontract(u.grade_involution(), v.grade_involution())
-    return _expect_zero(lhs + rhs, "'(u _| v) - ('u _| 'v) + '(u |_ v) - ('u |_ 'v)", u=u, v=v)
-
-
-@identity("contractions", "reversion swaps the contractions")
-def _contr_reversion(ctx, rng):
-    # the defining adjoints force ~(u _| v) = ~v |_ ~u (and the mirror image)
-    u = random_multivector(ctx, rng)
-    v = random_multivector(ctx, rng)
-    lhs = lcontract(u, v).reversion() - rcontract(v.reversion(), u.reversion())
-    rhs = rcontract(u, v).reversion() - lcontract(v.reversion(), u.reversion())
-    return _expect_zero(lhs + rhs, "~(u _| v) - (~v |_ ~u) + ~(u |_ v) - (~v _| ~u)", u=u, v=v)
-
-
-@identity("contractions", "u _| (v _| w) = (u ^ v) _| w")
-def _contr_lc_compose(ctx, rng):
-    u, v, w = (random_multivector(ctx, rng) for _ in range(3))
-    return _expect_zero(
-        lcontract(u, lcontract(v, w)) - lcontract(wedge(u, v), w),
-        "u _| (v _| w) - (u ^ v) _| w",
-        u=u, v=v, w=w,
-    )
-
-
-@identity("contractions", "(u |_ v) |_ w = u |_ (v ^ w)")
-def _contr_rc_compose(ctx, rng):
-    u, v, w = (random_multivector(ctx, rng) for _ in range(3))
-    return _expect_zero(
-        rcontract(rcontract(u, v), w) - rcontract(u, wedge(v, w)),
-        "(u |_ v) |_ w - u |_ (v ^ w)",
-        u=u, v=v, w=w,
-    )
-
-
-@identity("contractions", "(u _| v) |_ w = u _| (v |_ w)")
-def _contr_mixed_assoc(ctx, rng):
-    u, v, w = (random_multivector(ctx, rng) for _ in range(3))
-    return _expect_zero(
-        rcontract(lcontract(u, v), w) - lcontract(u, rcontract(v, w)),
-        "(u _| v) |_ w - u _| (v |_ w)",
-        u=u, v=v, w=w,
-    )
-
-
-@identity("contractions", "x _| (u ^ v) = (x _| u) ^ v + 'u ^ (x _| v)")
-def _contr_lc_leibniz(ctx, rng):
-    x = random_vecfor(ctx, rng).to_multivector()
-    u, v = random_multivector(ctx, rng), random_multivector(ctx, rng)
-    lhs = lcontract(x, wedge(u, v))
-    rhs = wedge(lcontract(x, u), v) + wedge(u.grade_involution(), lcontract(x, v))
-    return _expect_zero(lhs - rhs, "x _| (u ^ v) - (x _| u) ^ v - 'u ^ (x _| v)", x=x, u=u, v=v)
-
-
-@identity("contractions", "(u ^ v) |_ x = u ^ (v |_ x) + (u |_ x) ^ 'v")
-def _contr_rc_leibniz(ctx, rng):
-    x = random_vecfor(ctx, rng).to_multivector()
-    u, v = random_multivector(ctx, rng), random_multivector(ctx, rng)
-    lhs = rcontract(wedge(u, v), x)
-    rhs = wedge(u, rcontract(v, x)) + wedge(rcontract(u, x), v.grade_involution())
-    return _expect_zero(lhs - rhs, "(u ^ v) |_ x - u ^ (v |_ x) - (u |_ x) ^ 'v", x=x, u=u, v=v)
-
-
-@identity("contractions", "x ^ (u _| v) = 'u _| (x ^ v) - ('u |_ x) _| v")
-def _contr_wedge_lc_exchange(ctx, rng):
-    x = random_vecfor(ctx, rng).to_multivector()
-    u, v = random_multivector(ctx, rng), random_multivector(ctx, rng)
-    gu = u.grade_involution()
-    lhs = wedge(x, lcontract(u, v))
-    rhs = lcontract(gu, wedge(x, v)) - lcontract(rcontract(gu, x), v)
-    return _expect_zero(lhs - rhs, "x ^ (u _| v) - 'u _| (x ^ v) + ('u |_ x) _| v", x=x, u=u, v=v)
-
-
-@identity("contractions", "(u |_ v) ^ x = (u ^ x) |_ 'v - u |_ (x _| 'v)")
-def _contr_rc_wedge_exchange(ctx, rng):
-    x = random_vecfor(ctx, rng).to_multivector()
-    u, v = random_multivector(ctx, rng), random_multivector(ctx, rng)
-    gv = v.grade_involution()
-    lhs = wedge(rcontract(u, v), x)
-    rhs = rcontract(wedge(u, x), gv) - rcontract(u, lcontract(x, gv))
-    return _expect_zero(lhs - rhs, "(u |_ v) ^ x - (u ^ x) |_ 'v + u |_ (x _| 'v)", x=x, u=u, v=v)
-
-
-@identity("contractions", "even part transposes: even(u) _| v = v |_ even(u)")
-def _contr_even_transpose(ctx, rng):
-    u, v = random_multivector(ctx, rng), random_multivector(ctx, rng)
-    up = u.even_part()
-    return _expect_zero(
-        lcontract(up, v) - rcontract(v, up), "even(u) _| v - v |_ even(u)", u=u, v=v
-    )
-
-
-@identity("contractions", "odd part transposes: odd(u) _| v = 'v |_ 'odd(u)")
-def _contr_odd_transpose(ctx, rng):
-    u, v = random_multivector(ctx, rng), random_multivector(ctx, rng)
-    um = u.odd_part()
-    lhs = lcontract(um, v)
-    rhs = rcontract(v.grade_involution(), um.grade_involution())
-    return _expect_zero(lhs - rhs, "odd(u) _| v - 'v |_ 'odd(u)", u=u, v=v)
-
-
-@identity("contractions", "u ^ (v _| sigma) = (u _| v) _| sigma")
-def _contr_orientation_wedge(ctx, rng):
-    u, v = random_multivector(ctx, rng), random_multivector(ctx, rng)
-    s = ctx.orientation()
-    return _expect_zero(
-        wedge(u, lcontract(v, s)) - lcontract(lcontract(u, v), s),
-        "u ^ (v _| sigma) - (u _| v) _| sigma",
-        u=u, v=v,
-    )
-
-
-@identity("contractions", "(sigma |_ u) ^ v = sigma |_ (u |_ v)")
-def _contr_orientation_rc(ctx, rng):
-    u, v = random_multivector(ctx, rng), random_multivector(ctx, rng)
-    s = ctx.orientation()
-    return _expect_zero(
-        wedge(rcontract(s, u), v) - rcontract(s, rcontract(u, v)),
-        "(sigma |_ u) ^ v - sigma |_ (u |_ v)",
-        u=u, v=v,
-    )
-
-
-@identity("contractions", "x _| y = x |_ y = ip(x, y) on vecfors")
-def _contr_vector_pairing(ctx, rng):
-    x = random_vecfor(ctx, rng).to_multivector()
-    y = random_vecfor(ctx, rng).to_multivector()
-    pairing = ctx.scalar(bilinear(x, y))
-    d1 = lcontract(x, y) - pairing
-    d2 = rcontract(x, y) - pairing
-    return _expect_zero(d1 + d2, "x _| y - ip(x,y), x |_ y - ip(x,y)", x=x, y=y)
-
-
-@identity("contractions", "units: 1 _| u = u = u |_ 1 and x _| 1 = 0 = 1 |_ x")
-def _contr_units(ctx, rng):
-    u = random_multivector(ctx, rng)
-    x = random_multivector(ctx, rng, no_scalar=True)
-    one = ctx.scalar(1)
-    d = (lcontract(one, u) - u) + (rcontract(u, one) - u) + lcontract(x, one) + rcontract(one, x)
-    return _expect_zero(d, "1 _| u - u, u |_ 1 - u, x _| 1, 1 |_ x", u=u, x=x)
-
-
-@identity("contractions", "adjoint law: ip(u _| v, w) = ip(v, ~u ^ w)")
-def _contr_lc_adjoint(ctx, rng):
-    u, v, w = (random_multivector(ctx, rng) for _ in range(3))
-    d = bilinear(lcontract(u, v), w) - bilinear(v, wedge(u.reversion(), w))
-    return _expect_zero(d, "ip(u _| v, w) - ip(v, ~u ^ w)", u=u, v=v, w=w)
-
-
-@identity("contractions", "adjoint law: ip(v |_ u, w) = ip(v, w ^ ~u)")
-def _contr_rc_adjoint(ctx, rng):
-    u, v, w = (random_multivector(ctx, rng) for _ in range(3))
-    d = bilinear(rcontract(v, u), w) - bilinear(v, wedge(w, u.reversion()))
-    return _expect_zero(d, "ip(v |_ u, w) - ip(v, w ^ ~u)", u=u, v=v, w=w)
+_law("contractions", "grade-involution passes through _| and |_",
+     "'(u _| v) - ('u _| 'v) + '(u |_ v) - ('u |_ 'v)", _UV)
+# the defining adjoints force ~(u _| v) = ~v |_ ~u (and the mirror image)
+_law("contractions", "reversion swaps the contractions",
+     "~(u _| v) - (~v |_ ~u) + ~(u |_ v) - (~v _| ~u)", _UV)
+_law("contractions", "u _| (v _| w) = (u ^ v) _| w", "u _| (v _| w) - (u ^ v) _| w", _UVW)
+_law("contractions", "(u |_ v) |_ w = u |_ (v ^ w)", "(u |_ v) |_ w - u |_ (v ^ w)", _UVW)
+_law("contractions", "(u _| v) |_ w = u _| (v |_ w)", "(u _| v) |_ w - u _| (v |_ w)", _UVW)
+_law("contractions", "x _| (u ^ v) = (x _| u) ^ v + 'u ^ (x _| v)",
+     "x _| (u ^ v) - (x _| u) ^ v - 'u ^ (x _| v)", _XUV)
+_law("contractions", "(u ^ v) |_ x = u ^ (v |_ x) + (u |_ x) ^ 'v",
+     "(u ^ v) |_ x - u ^ (v |_ x) - (u |_ x) ^ 'v", _XUV)
+_law("contractions", "x ^ (u _| v) = 'u _| (x ^ v) - ('u |_ x) _| v",
+     "x ^ (u _| v) - 'u _| (x ^ v) + ('u |_ x) _| v", _XUV)
+_law("contractions", "(u |_ v) ^ x = (u ^ x) |_ 'v - u |_ (x _| 'v)",
+     "(u |_ v) ^ x - (u ^ x) |_ 'v + u |_ (x _| 'v)", _XUV)
+_law("contractions", "even part transposes: even(u) _| v = v |_ even(u)",
+     "even(u) _| v - v |_ even(u)", _UV)
+_law("contractions", "odd part transposes: odd(u) _| v = 'v |_ 'odd(u)",
+     "odd(u) _| v - 'v |_ 'odd(u)", _UV)
+_law("contractions", "u ^ (v _| sigma) = (u _| v) _| sigma",
+     "u ^ (v _| sigma) - (u _| v) _| sigma", _UV)
+_law("contractions", "(sigma |_ u) ^ v = sigma |_ (u |_ v)",
+     "(sigma |_ u) ^ v - sigma |_ (u |_ v)", _UV)
+_law("contractions", "x _| y = x |_ y = ip(x, y) on vecfors",
+     "x _| y - ip(x, y) + (x |_ y - ip(x, y))", _XY)
+_law("contractions", "units: 1 _| u = u = u |_ 1 and x _| 1 = 0 = 1 |_ x",
+     "1 _| u - u + (u |_ 1 - u) + x _| 1 + 1 |_ x",
+     _draw(u=_mv, x=lambda ctx, rng: random_multivector(ctx, rng, no_scalar=True)))
+_law("contractions", "adjoint law: ip(u _| v, w) = ip(v, ~u ^ w)",
+     "ip(u _| v, w) - ip(v, ~u ^ w)", _UVW)
+_law("contractions", "adjoint law: ip(v |_ u, w) = ip(v, w ^ ~u)",
+     "ip(v |_ u, w) - ip(v, w ^ ~u)", _UVW)
 
 
 @identity("contractions", "isotropic halves contract to zero")
@@ -546,12 +469,8 @@ def _prod_sigma_relations(ctx, rng):
     return None
 
 
-@identity("products", "u _| sigma = u * sigma and sigma |_ u = sigma * u")
-def _prod_sigma_contract(ctx, rng):
-    u = random_multivector(ctx, rng)
-    s = ctx.orientation()
-    d = (lcontract(u, s) - gp(u, s)) + (rcontract(s, u) - gp(s, u))
-    return _expect_zero(d, "u _| sigma - u * sigma, sigma |_ u - sigma * u", u=u)
+_law("products", "u _| sigma = u * sigma and sigma |_ u = sigma * u",
+     "u _| sigma - u * sigma + (sigma |_ u - sigma * u)", _U)
 
 
 @identity("products", "ip(u, v*w) = ip(~v*u, w) = ip(u*~w, v)")
@@ -574,31 +493,12 @@ def _prod_vector_halves(ctx, rng):
     return _expect_zero(d1 + d2, "x ^ u - (x*u + 'u*x)/2, x _| u - (x*u - 'u*x)/2", x=x, u=u)
 
 
-@identity("products", "x _| (u*v) = (x _| u)*v + 'u*(x _| v)")
-def _prod_lc_product(ctx, rng):
-    x = random_vecfor(ctx, rng).to_multivector()
-    u, v = random_multivector(ctx, rng), random_multivector(ctx, rng)
-    lhs = lcontract(x, gp(u, v))
-    rhs = gp(lcontract(x, u), v) + gp(u.grade_involution(), lcontract(x, v))
-    return _expect_zero(lhs - rhs, "x _| (u*v) - (x _| u)*v - 'u*(x _| v)", x=x, u=u, v=v)
-
-
-@identity("products", "(u*v) |_ x = u*(v |_ x) + (u |_ x)*'v")
-def _prod_rc_product(ctx, rng):
-    x = random_vecfor(ctx, rng).to_multivector()
-    u, v = random_multivector(ctx, rng), random_multivector(ctx, rng)
-    lhs = rcontract(gp(u, v), x)
-    rhs = gp(u, rcontract(v, x)) + gp(rcontract(u, x), v.grade_involution())
-    return _expect_zero(lhs - rhs, "(u*v) |_ x - u*(v |_ x) - (u |_ x)*'v", x=x, u=u, v=v)
-
-
-@identity("products", "dual as a product: !u = ~u * sigma and !!u = ~sigma * ~u")
-def _prod_hodge_product(ctx, rng):
-    u = random_multivector(ctx, rng)
-    s = ctx.orientation()
-    d1 = hodge(u) - gp(u.reversion(), s)
-    d2 = hodge_inv(u) - gp(s.reversion(), u.reversion())
-    return _expect_zero(d1 + d2, "!u - ~u*sigma, !!u - ~sigma*~u", u=u)
+_law("products", "x _| (u*v) = (x _| u)*v + 'u*(x _| v)",
+     "x _| (u*v) - (x _| u)*v - 'u*(x _| v)", _XUV)
+_law("products", "(u*v) |_ x = u*(v |_ x) + (u |_ x)*'v",
+     "(u*v) |_ x - u*(v |_ x) - (u |_ x)*'v", _XUV)
+_law("products", "dual as a product: !u = ~u * sigma and !!u = ~sigma * ~u",
+     "!u - ~u*sigma + (!!u - ~sigma*~u)", _U)
 
 
 @identity("products", "!(u*v) = ~v * !u and !!(u*v) = (!!v) * ~u")
@@ -609,20 +509,8 @@ def _prod_hodge_twist(ctx, rng):
     return _expect_zero(d1 + d2, "!(u*v) - ~v*!u, !!(u*v) - (!!v)*~u", u=u, v=v)
 
 
-@identity("products", "geometric product is associative")
-def _prod_assoc(ctx, rng):
-    u, v, w = (random_multivector(ctx, rng) for _ in range(3))
-    return _expect_zero(
-        gp(gp(u, v), w) - gp(u, gp(v, w)), "(u*v)*w - u*(v*w)", u=u, v=v, w=w
-    )
-
-
-@identity("products", "x*y + y*x = 2 ip(x, y) on vecfors")
-def _prod_anticommutator(ctx, rng):
-    x = random_vecfor(ctx, rng).to_multivector()
-    y = random_vecfor(ctx, rng).to_multivector()
-    d = gp(x, y) + gp(y, x) - ctx.scalar(Scalar(2) * bilinear(x, y))
-    return _expect_zero(d, "x*y + y*x - 2 ip(x,y)", x=x, y=y)
+_law("products", "geometric product is associative", "(u*v)*w - u*(v*w)", _UVW)
+_law("products", "x*y + y*x = 2 ip(x, y) on vecfors", "x*y + y*x - 2*ip(x, y)", _XY)
 
 
 @identity("products", "involutions are (anti)automorphisms of the product")
@@ -717,11 +605,7 @@ def _hodge_orientation(ctx, rng):
     return None
 
 
-@identity("hodge", "duality round-trips: !!(!u) = u = !(!!u)")
-def _hodge_roundtrip(ctx, rng):
-    u = random_multivector(ctx, rng)
-    d = (hodge_inv(hodge(u)) - u) + (hodge(hodge_inv(u)) - u)
-    return _expect_zero(d, "!!(!u) - u, !(!!u) - u", u=u)
+_law("hodge", "duality round-trips: !!(!u) = u = !(!!u)", "!!(!u) - u + (!(!!u) - u)", _U)
 
 
 @identity("hodge", "ip(!u, !v) = (-1)^n ip(u, v)")
@@ -732,44 +616,10 @@ def _hodge_isometry(ctx, rng):
     return _expect_zero(d, "ip(!u, !v) - (-1)^n ip(u, v)", u=u, v=v)
 
 
-@identity("hodge", "!(u ^ v) = ~v _| !u")
-def _hodge_wedge(ctx, rng):
-    u, v = random_multivector(ctx, rng), random_multivector(ctx, rng)
-    return _expect_zero(
-        hodge(wedge(u, v)) - lcontract(v.reversion(), hodge(u)),
-        "!(u ^ v) - ~v _| !u",
-        u=u, v=v,
-    )
-
-
-@identity("hodge", "!!(u ^ v) = (!!v) |_ ~u")
-def _hodge_inv_wedge(ctx, rng):
-    u, v = random_multivector(ctx, rng), random_multivector(ctx, rng)
-    return _expect_zero(
-        hodge_inv(wedge(u, v)) - rcontract(hodge_inv(v), u.reversion()),
-        "!!(u ^ v) - (!!v) |_ ~u",
-        u=u, v=v,
-    )
-
-
-@identity("hodge", "!(u |_ v) = ~v ^ !u")
-def _hodge_rc(ctx, rng):
-    u, v = random_multivector(ctx, rng), random_multivector(ctx, rng)
-    return _expect_zero(
-        hodge(rcontract(u, v)) - wedge(v.reversion(), hodge(u)),
-        "!(u |_ v) - ~v ^ !u",
-        u=u, v=v,
-    )
-
-
-@identity("hodge", "!!(u _| v) = (!!v) ^ ~u")
-def _hodge_inv_lc(ctx, rng):
-    u, v = random_multivector(ctx, rng), random_multivector(ctx, rng)
-    return _expect_zero(
-        hodge_inv(lcontract(u, v)) - wedge(hodge_inv(v), u.reversion()),
-        "!!(u _| v) - (!!v) ^ ~u",
-        u=u, v=v,
-    )
+_law("hodge", "!(u ^ v) = ~v _| !u", "!(u ^ v) - ~v _| !u", _UV)
+_law("hodge", "!!(u ^ v) = (!!v) |_ ~u", "!!(u ^ v) - (!!v) |_ ~u", _UV)
+_law("hodge", "!(u |_ v) = ~v ^ !u", "!(u |_ v) - ~v ^ !u", _UV)
+_law("hodge", "!!(u _| v) = (!!v) ^ ~u", "!!(u _| v) - (!!v) ^ ~u", _UV)
 
 
 @identity("hodge", "duality complements the grade")
@@ -1312,11 +1162,8 @@ def _ideal_conjugation(ctx, rng):
     return None
 
 
-@identity("ideals", "covector multivectors multiply by wedge alone")
-def _ideal_theta_wedge(ctx, rng):
-    u = random_multivector(ctx, rng, support_mask=ctx.theta_star_mask)
-    v = random_multivector(ctx, rng, support_mask=ctx.theta_star_mask)
-    return _expect_zero(gp(u, v) - wedge(u, v), "u*v - u ^ v on /\\V*", u=u, v=v)
+_law("ideals", "covector multivectors multiply by wedge alone", "u*v - u ^ v",
+     _draw(u=_covector, v=_covector))
 
 
 @identity("ideals", "top blades: t* squares to zero, e_* ^ t* is the orientation", per_trial=False)
@@ -1374,9 +1221,10 @@ def run_suite(name: str, n: int, trials: int = 200, seed: int = 0) -> SuiteRepor
             continue
         rng = random.Random(f"{seed}/{n}/{ident.suite}/{ident.name}")
         rounds = trials if ident.per_trial else 1
+        check = ident.fn if ident.text is None else _law_check(ident.text, ident.draw)
         failure = None
         for _ in range(rounds):
-            failure = ident.fn(ctx, rng)
+            failure = check(ctx, rng)
             if failure is not None:
                 break
         if failure is None:

@@ -15,7 +15,7 @@ from hyclif.exprparse import (
     parse,
     unparse,
 )
-from hyclif.multivector import AlgebraContext, Multivector, wedge
+from hyclif.multivector import AlgebraContext, ContextMismatchError, Multivector, wedge
 from hyclif.scalar import SQRT2, Scalar
 from hyclif.suites import random_multivector
 
@@ -179,13 +179,52 @@ def test_canonical_form_reparses(ctx2, rng):
         assert eval_source(str(u), ctx2) == u
 
 
+def _dense(ctx, first=1):
+    """Every blade of ctx, with the scalar coefficient `first`/7."""
+    return Multivector(
+        ctx,
+        {m: Scalar(Fraction((-1) ** m * (m + first if m else first), 7), m % 3)
+         for m in range(1 << ctx.num_generators)},
+    )
+
+
 def test_dense_canonical_form_reparses():
     # 1024 terms: the parse is a left chain of 1023 additions
     ctx = AlgebraContext(5)
-    u = Multivector(ctx, {m: Scalar(Fraction((-1) ** m * (m + 1), 7), m % 3) for m in range(1 << 10)})
+    u = _dense(ctx)
     text = str(u)
     assert eval_source(text, ctx) == u
     assert eval_source(unparse(parse(text, ctx)), ctx) == u
+
+
+def test_dense_chain_compares_and_prints():
+    # == and repr walk the 1023-link left spine in a loop, as evaluate does
+    ctx = AlgebraContext(5)
+    text = str(_dense(ctx))
+    node = parse(text, ctx)
+    assert node == parse(text, ctx)
+    assert node != parse(str(_dense(ctx, first=2)), ctx)  # differs only in the innermost leaf
+    shown = repr(node)
+    assert shown.startswith("Binary(op=") and shown.count("Binary(op=") > 1023
+
+
+def test_ast_repr_and_equality_keep_the_dataclass_form(ctx2):
+    node = parse("e1 + t1 - e2", ctx2)
+    assert repr(node) == (
+        "Binary(op='-', left=Binary(op='+', left=Atom(name='e1'), right=Atom(name='t1')), "
+        "right=Atom(name='e2'))"
+    )
+    assert node == Binary("-", Binary("+", Atom("e1"), Atom("t1")), Atom("e2"))
+    assert node != Binary("-", Binary("-", Atom("e1"), Atom("t1")), Atom("e2"))
+    assert node != Binary("-", Atom("e1"), Atom("e2")) and node != Atom("e1")
+    assert hash(node) == hash(parse("e1 + t1 - e2", ctx2))
+
+
+def test_sums_accumulate_exactly(ctx2, ctx3):
+    assert eval_source("e1 - e1 + t1 - t1", ctx2) == 0
+    assert eval_source("e1 + t1 - (e1 + t1) * e2 + e1*e2 - e1", ctx2) == eval_source("t1 - t1*e2", ctx2)
+    with pytest.raises(ContextMismatchError):
+        evaluate(parse("a + b", ctx2, {"a", "b"}), ctx2, {"a": ctx2.e(1), "b": ctx3.e(1)})
 
 
 def test_deep_nesting_errors_not_crashes(ctx2):

@@ -130,3 +130,61 @@ def test_run_suite_releases_its_context(monkeypatch):
     assert made
     gc.collect()
     assert [ref() for ref in made] == [None] * len(made)
+
+
+def _laws():
+    return [ident for ident in IDENTITIES if ident.text is not None]
+
+
+def test_law_texts_name_exactly_their_operands():
+    # one parse per run serves every n up to MAX_SPAN_DIM: the texts use no
+    # generator atom, whose index is checked against the context's dimension
+    import random
+    import re
+
+    from hyclif.exprparse import Atom, Binary, Call, Unary, parse
+    from hyclif.multivector import AlgebraContext
+
+    def atoms(node):
+        if isinstance(node, Atom):
+            return {node.name}
+        if isinstance(node, Unary):
+            return atoms(node.arg)
+        if isinstance(node, Binary):
+            return atoms(node.left) | atoms(node.right)
+        if isinstance(node, Call):
+            return set().union(*(atoms(a) for a in node.args))
+        return set()
+
+    ctx = AlgebraContext(1)
+    assert _laws()
+    for law in _laws():
+        operands = law.draw(ctx, random.Random(law.name))
+        named = atoms(parse(law.text, ctx, operands))
+        assert named - {"sigma"} == set(operands), law.name
+        assert not any(re.fullmatch(r"[ets][1-9][0-9]*", a) for a in named | set(operands)), law.name
+
+
+def test_mutated_law_fails_with_a_replayable_line(monkeypatch):
+    import hyclif.suites as suites
+    from hyclif.exprparse import evaluate, parse
+    from hyclif.multivector import AlgebraContext
+
+    law = next(i for i in _laws() if i.text == "(u*v)*w - u*(v*w)")
+    mutated = "(u*v)*w + u*(v*w)"
+    monkeypatch.setattr(law, "text", mutated)
+    report = suites.run_suite("products", 2, trials=5, seed=1)
+    failed = [line for line in report.lines if line.startswith("FAIL")]
+    prefix = f"FAIL products: {law.name}: {mutated} with "
+    assert report.failures == 1 and len(failed) == 1 and failed[0].startswith(prefix)
+
+    # replay: each printed binding name=(value) parses back, and the printed
+    # text on those values is the nonzero counterexample
+    ctx = AlgebraContext(2)
+    env = {}
+    for binding in failed[0][len(prefix):].split("; "):
+        name, value = binding.split("=", 1)
+        assert value.startswith("(") and value.endswith(")")
+        env[name] = evaluate(parse(value[1:-1], ctx), ctx)
+    assert set(env) == {"u", "v", "w"}
+    assert evaluate(parse(mutated, ctx, env), ctx, env)
