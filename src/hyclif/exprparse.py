@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .hyperspace import sigma_vector
 from .multivector import (
@@ -78,7 +77,7 @@ class Binary:
     right: "Expr"
 
     # a flat chain like a + b + c nests to the left as deep as it is long, so
-    # compare and print walk the left spine in a loop, as evaluate does
+    # compare, hash and print walk the left spine in a loop, as evaluate does
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Binary):
@@ -89,6 +88,14 @@ class Binary:
                 return False
             a, b = a.left, b.left
         return a == b
+
+    def __hash__(self) -> int:
+        links = []
+        node = self
+        while isinstance(node, Binary):
+            links.append((node.op, node.right))
+            node = node.left
+        return hash((node, tuple(links)))
 
     def __repr__(self) -> str:
         head, tail = [], []
@@ -111,17 +118,22 @@ Expr = Lit | Atom | Unary | Binary | Call
 FUNCTIONS = ("ip", "grade", "even", "odd", "dual", "idual")
 RESERVED = FUNCTIONS + ("sigma", "r2")
 
-# identifiers exclude "_" so the contraction operators _| and |_ lex cleanly
-_NUMBER = re.compile(r"\d+(?:/\d+)?")
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 _GENERATOR = re.compile(r"([ets])([1-9][0-9]*)\Z")
 
-_TWO_CHAR_OPS = ("_|", "|_", "!!", "!c")
-_ONE_CHAR_OPS = "+-*^~'!(),"
+# The language is ASCII: one alternative per token kind, in this order, and a
+# last one that catches any other character.  "!c" is conjugation unless a name
+# character follows ("!conj" is "!" before the name "conj").  Identifiers
+# exclude "_" so the contraction operators _| and |_ lex cleanly.
+_TOKEN = re.compile(
+    r"(?P<NL>\n)|(?P<WS>[ \t\r]+)"
+    r"|(?P<OP>_\||\|_|!!|!c(?![A-Za-z0-9_])|[-+*^~'!(),])"
+    r"|(?P<NUM>[0-9]+(?:/[0-9]+)?)|(?P<NAME>[A-Za-z][A-Za-z0-9]*)"
+    r"|(?P<BAD>.)",
+    re.DOTALL,
+)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NUM, R2, NAME, OP, END
     text: str
     line: int
@@ -130,50 +142,22 @@ class _Token:
 
 def _lex(src: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch == "\n":
+    line, line_start = 1, 0  # line_start: index of the current line's first character
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        if kind == "WS":
+            continue
+        if kind == "NL":
             line += 1
-            col = 1
-            i += 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        two = src[i : i + 2]
-        if two in _TWO_CHAR_OPS:
-            if two == "!c" and i + 2 < len(src) and (src[i + 2].isalnum() or src[i + 2] == "_"):
-                pass  # "!conj..." is "!" followed by a name
-            else:
-                tokens.append(_Token("OP", two, line, col))
-                i += 2
-                col += 2
-                continue
-        if ch.isdigit():
-            m = _NUMBER.match(src, i)
-            text = m.group(0)
-            tokens.append(_Token("NUM", text, line, col))
-            i += len(text)
-            col += len(text)
-            continue
-        if ch.isalpha():
-            m = _IDENT.match(src, i)
-            text = m.group(0)
-            kind = "R2" if text == "r2" else "NAME"
-            tokens.append(_Token(kind, text, line, col))
-            i += len(text)
-            col += len(text)
-            continue
-        if ch in _ONE_CHAR_OPS:
-            tokens.append(_Token("OP", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("END", "", line, col))
+        text, col = m.group(), m.start() - line_start + 1
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {text!r}", line, col)
+        if kind == "NAME" and text == "r2":
+            kind = "R2"
+        tokens.append(_Token(kind, text, line, col))
+    tokens.append(_Token("END", "", line, len(src) - line_start + 1))
     return tokens
 
 
@@ -266,13 +250,7 @@ class _Parser:
             return node
         if tok.kind == "NUM":
             self.advance()
-            value = self._fraction(tok)
-            if self.peek().kind == "R2":
-                self.advance()
-                lit = Lit(Scalar(0, value))
-            else:
-                lit = Lit(Scalar(value))
-            return self._maybe_juxtapose(lit)
+            return self._maybe_juxtapose(Lit(self._number(tok)))
         if tok.kind == "R2":
             self.advance()
             return self._maybe_juxtapose(Lit(Scalar(0, 1)))
@@ -283,13 +261,16 @@ class _Parser:
             return self._atom(tok)
         raise ParseError(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", tok.line, tok.col)
 
-    def _fraction(self, tok: _Token) -> Fraction:
-        if "/" in tok.text:
-            num, den = tok.text.split("/")
-            if int(den) == 0:
-                raise ParseError("zero denominator", tok.line, tok.col)
-            return Fraction(int(num), int(den))
-        return Fraction(int(tok.text))
+    def _number(self, tok: _Token) -> Scalar:
+        """The value of `p` or `p/q`, times sqrt(2) when an `r2` follows."""
+        num, _, den = tok.text.partition("/")
+        r = int(den or 1)
+        if r == 0:
+            raise ParseError("zero denominator", tok.line, tok.col)
+        if self.peek().kind == "R2":
+            self.advance()
+            return Scalar._make(0, int(num), r)
+        return Scalar._make(int(num), 0, r)
 
     def _maybe_juxtapose(self, lit: Lit) -> Expr:
         tok = self.peek()
@@ -411,9 +392,9 @@ def evaluate(
             val = r.scalar_part()
             if r.terms and (set(r.terms) != {0}):
                 raise ValueError("grade selector must be an integer")
-            if val.sqrt2_part != 0 or val.rat_part.denominator != 1:
+            if val.q or val.r != 1:
                 raise ValueError("grade selector must be an integer")
-            return args[0].grade_part(int(val.rat_part))
+            return args[0].grade_part(val.p)
         if node.fn == "even":
             return args[0].even_part()
         if node.fn == "odd":
@@ -454,8 +435,7 @@ _UNARY_GLYPH = {"neg": "-", "~": "~", "'": "'", "!c": "!c", "!": "!", "!!": "!!"
 
 
 def _lit_level(value: Scalar) -> int:
-    mixed = value.rat_part != 0 and value.sqrt2_part != 0
-    if mixed:
+    if value.p and value.q:  # "a+b r2" binds like a sum
         return 1
     return _PRIMARY_LEVEL if value.sign() >= 0 else _UNARY_LEVEL
 

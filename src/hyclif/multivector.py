@@ -174,19 +174,26 @@ class AlgebraContext:
         self.full_mask = (1 << g) - 1
         self.e_star_mask = (1 << dim_n) - 1
         self.theta_star_mask = self.full_mask ^ self.e_star_mask
+        # generator g prints as generator_names[g]: e1..en, then t1..tn
+        self.generator_names = tuple(
+            f"{kind}{k}" for kind in "et" for k in range(1, dim_n + 1)
+        )
 
     # -- naming ------------------------------------------------------------
 
     def generator_name(self, g: int) -> str:
-        if g < self.dim_n:
-            return f"e{g + 1}"
-        return f"t{g - self.dim_n + 1}"
+        return self.generator_names[g]
 
     def blade_name(self, mask: int) -> str:
         if mask == 0:
             return "1"
-        names = [self.generator_name(g) for g in range(self.num_generators) if mask >> g & 1]
-        return "^".join(names)
+        names = self.generator_names
+        out = []
+        while mask:  # one generator per set bit, lowest first
+            low = mask & -mask
+            out.append(names[low.bit_length() - 1])
+            mask ^= low
+        return "^".join(out)
 
     def basis_blades(self) -> list[int]:
         """All 4^n blade masks in canonical (grade, mask) order."""
@@ -407,7 +414,7 @@ class Multivector:
         ctx = self.context
         terms = []
         for mask, coeff in self.sorted_terms():
-            blade = [ctx.generator_name(g) for g in range(ctx.num_generators) if mask >> g & 1]
+            blade = [ctx.generator_names[g] for g in range(ctx.num_generators) if mask >> g & 1]
             terms.append({"blade": blade, "coeff": coeff.to_json()})
         return {"dim": ctx.dim_n, "terms": terms}
 
@@ -529,16 +536,6 @@ def differential_apply(x, u: Multivector) -> Multivector:
 # -- canonical text form -----------------------------------------------------
 
 
-def _coefficient_prefix(c: Scalar) -> str:
-    """Printable multiplier for a blade: '' for 1, e.g. '2', '1/2 ', 'r2 '."""
-    if c == ONE:
-        return ""
-    if c.sqrt2_part == 0:
-        body = format_scalar(c)
-        return body if c.rat_part.denominator == 1 else body + " "
-    return format_scalar(c) + " "
-
-
 def format_multivector(u: Multivector) -> str:
     """Canonical text: terms by (grade, mask); the empty blade prints bare.
 
@@ -547,27 +544,28 @@ def format_multivector(u: Multivector) -> str:
     """
     if not u.terms:
         return "0"
-    ctx = u.context
+    blade_name = u.context.blade_name
     pieces: list[str] = []
     for mask, coeff in u.sorted_terms():
-        mixed = coeff.rat_part != 0 and coeff.sqrt2_part != 0
-        if mask == 0:
-            if mixed:
-                # a join minus cannot distribute over "a+b r2"; print signed
-                negative = False
-                body = format_scalar(coeff)
-            else:
-                negative = coeff.sign() < 0
-                body = format_scalar(-coeff if negative else coeff)
-        elif mixed:
-            negative = False
-            body = f"({format_scalar(coeff)})*{ctx.blade_name(mask)}"
+        text = format_scalar(coeff)
+        negative = False
+        if coeff.p and coeff.q:
+            # a join minus cannot distribute over "a+b r2"; print signed
+            if mask:
+                text = f"({text})*{blade_name(mask)}"
         else:
-            negative = coeff.sign() < 0
-            mag = -coeff if negative else coeff
-            body = f"{_coefficient_prefix(mag)}{ctx.blade_name(mask)}"
+            # one part only, so the text of -coeff is that of coeff minus its sign
+            negative = text[0] == "-"
+            if negative:
+                text = text[1:]
+            if mask:
+                if coeff.q or coeff.r != 1:
+                    text += " "  # "1/2 e2", "r2 e2": a space ends the literal
+                elif text == "1":
+                    text = ""  # the unit coefficient prints as the bare blade
+                text += blade_name(mask)
         if not pieces:
-            pieces.append(("-" if negative else "") + body)
+            pieces.append("-" + text if negative else text)
         else:
-            pieces.append(("- " if negative else "+ ") + body)
+            pieces.append(("- " if negative else "+ ") + text)
     return " ".join(pieces)

@@ -232,7 +232,7 @@ class Scalar:
         return f"Scalar({self.rat_part}, {self.sqrt2_part})"
 
     def to_json(self) -> dict:
-        return {"rat": format_rational(self.rat_part), "rat_r2": format_rational(self.sqrt2_part)}
+        return {"rat": _ratio(self.p, self.r), "rat_r2": _ratio(self.q, self.r)}
 
     @classmethod
     def from_json(cls, obj: dict) -> Scalar:
@@ -259,15 +259,10 @@ def _parse_rational(text: object) -> Fraction:
     return Fraction(int(num), int(den or 1))
 
 
-def format_rational(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _sqrt2_piece(b: Fraction) -> str:
-    # magnitude-only piece for the sqrt(2) component, b > 0
-    return "r2" if b == 1 else f"{format_rational(b)} r2"
+def _ratio(num: int, den: int) -> str:
+    """Text of num/den in lowest terms, `p` or `p/q`; den > 0."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def format_scalar(s: Scalar) -> str:
@@ -276,13 +271,13 @@ def format_scalar(s: Scalar) -> str:
     The output re-parses in the expression grammar (a rational literal
     immediately followed by `r2` is one sqrt(2)-multiple literal).
     """
-    a, b = s.rat_part, s.sqrt2_part
-    if b == 0:
-        return format_rational(a)
-    if a == 0:
-        return _sqrt2_piece(b) if b > 0 else "-" + _sqrt2_piece(-b)
-    joiner = "+" if b > 0 else "-"
-    return f"{format_rational(a)}{joiner}{_sqrt2_piece(abs(b))}"
+    p, q, r = s.p, s.q, s.r
+    if not q:
+        return _ratio(p, r)
+    root = "r2" if abs(q) == r else f"{_ratio(abs(q), r)} r2"
+    if not p:
+        return root if q > 0 else "-" + root
+    return f"{_ratio(p, r)}{'+' if q > 0 else '-'}{root}"
 
 
 ZERO = Scalar(0)

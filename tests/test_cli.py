@@ -39,6 +39,11 @@ def test_eval_parse_error(capsys):
     assert "out of range" in err
 
 
+def test_eval_non_ascii_is_a_parse_error(capsys):
+    code, out, err = run_main(capsys, "--dim", "2", "eval", "é1")
+    assert (code, out, err) == (EXIT_EVAL, "", "error: line 1, col 1: unexpected character 'é'\n")
+
+
 def test_eval_unbalanced(capsys):
     code, _, err = run_main(capsys, "--dim", "2", "eval", "(e1")
     assert code == EXIT_EVAL and "parenthesis" in err
@@ -130,6 +135,18 @@ def test_repl_long_flat_line_keeps_session():
     stdout = io.StringIO()
     assert repl(AlgebraContext(2), stdin, stdout) == EXIT_OK
     assert stdout.getvalue().splitlines() == ["3000e1", "e2"]
+
+
+def test_repl_non_ascii_line_keeps_session():
+    stdout = io.StringIO()
+    code = repl(AlgebraContext(2), io.StringIO("é1\ne1 + ²\n٣ e1\n2e1\n"), stdout)
+    assert code == EXIT_OK
+    assert stdout.getvalue().splitlines() == [
+        "error: line 1, col 1: unexpected character 'é'",
+        "error: line 1, col 6: unexpected character '²'",
+        "error: line 1, col 1: unexpected character '٣'",
+        "2e1",
+    ]
 
 
 def test_repl_eof_exits():

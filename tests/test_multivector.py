@@ -14,7 +14,7 @@ from functools import cache
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hyclif import linalg
 from hyclif.multivector import (
@@ -29,7 +29,7 @@ from hyclif.multivector import (
     rcontract,
     wedge,
 )
-from hyclif.scalar import ONE, SQRT2, ZERO, Scalar
+from hyclif.scalar import ONE, SQRT2, ZERO, Scalar, format_scalar
 from hyclif.suites import random_multivector, random_scalar, random_vecfor
 
 # -- independent oracles ------------------------------------------------------------
@@ -477,6 +477,105 @@ def test_json_form(ctx2):
     assert payload["dim"] == 2
     assert payload["terms"][0] == {"blade": [], "coeff": {"rat": "1", "rat_r2": "0"}}
     assert payload["terms"][1] == {"blade": ["e1", "t2"], "coeff": {"rat": "3/2", "rat_r2": "0"}}
+
+
+# -- reference printer: the canonical text and JSON spelled out on Fractions -----
+
+
+def _ref_rational(x):
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def _ref_scalar(a, b):
+    """Text of a + b sqrt(2) for Fractions a, b."""
+
+    def root(m):  # m > 0
+        return "r2" if m == 1 else f"{_ref_rational(m)} r2"
+
+    if b == 0:
+        return _ref_rational(a)
+    if a == 0:
+        return root(b) if b > 0 else "-" + root(-b)
+    return f"{_ref_rational(a)}{'+' if b > 0 else '-'}{root(abs(b))}"
+
+
+def _ref_generators(n, mask):
+    names = [f"e{k}" for k in range(1, n + 1)] + [f"t{k}" for k in range(1, n + 1)]
+    return [names[g] for g in range(2 * n) if mask >> g & 1]
+
+
+def _ref_multivector(n, terms):
+    """Canonical text of a blade -> (a, b) map with no zero coefficient."""
+    if not terms:
+        return "0"
+    pieces = []
+    for mask in sorted(terms, key=lambda m: (bin(m).count("1"), m)):
+        a, b = terms[mask]
+        blade = "^".join(_ref_generators(n, mask))
+        if a and b:  # a mixed coefficient is printed whole, with its signs
+            negative = False
+            body = _ref_scalar(a, b) if mask == 0 else f"({_ref_scalar(a, b)})*{blade}"
+        else:
+            negative = a < 0 or b < 0
+            if negative:
+                a, b = -a, -b
+            if mask == 0:
+                body = _ref_scalar(a, b)
+            elif (a, b) == (1, 0):
+                body = blade
+            elif b == 0 and a.denominator == 1:
+                body = f"{a}{blade}"
+            else:
+                body = f"{_ref_scalar(a, b)} {blade}"
+        if pieces:
+            pieces.append(("- " if negative else "+ ") + body)
+        else:
+            pieces.append(("-" if negative else "") + body)
+    return " ".join(pieces)
+
+
+# zero, units, small signed and large-denominator parts; two of them make
+# pure-rational, pure-r2 and mixed coefficients
+_print_parts = st.one_of(
+    st.just(Fraction(0)),
+    st.sampled_from([Fraction(1), Fraction(-1)]),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**70)),
+)
+
+
+@st.composite
+def _print_cases(draw):
+    n = draw(st.sampled_from([1, 3, 14]))
+    mask = st.one_of(st.just(0), st.integers(1, (1 << (2 * n)) - 1))
+    parts = st.tuples(_print_parts, _print_parts)
+    return n, draw(st.dictionaries(mask, parts, max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_print_cases())
+@example((1, {1: (Fraction(1), Fraction(0)), 2: (Fraction(-1), Fraction(0))}))
+@example((3, {0: (Fraction(-3, 2), Fraction(0)), 9: (Fraction(0), Fraction(-1, 7))}))
+@example((14, {0: (Fraction(1), Fraction(-2)), 1 << 27: (Fraction(-1, 2**64), Fraction(5))}))
+def test_printing_matches_fraction_reference(case):
+    n, parts = case
+    ctx = AlgebraContext(n)
+    u = Multivector(ctx, {m: Scalar(a, b) for m, (a, b) in parts.items()})
+    for a, b in parts.values():
+        c = Scalar(a, b)
+        assert format_scalar(c) == str(c) == _ref_scalar(a, b)
+        assert c.to_json() == {"rat": _ref_rational(a), "rat_r2": _ref_rational(b)}
+    nonzero = {m: ab for m, ab in parts.items() if ab != (0, 0)}
+    assert str(u) == _ref_multivector(n, nonzero)
+    order = sorted(nonzero, key=lambda m: (bin(m).count("1"), m))
+    assert u.to_json() == {
+        "dim": n,
+        "terms": [
+            {"blade": _ref_generators(n, m),
+             "coeff": {"rat": _ref_rational(nonzero[m][0]), "rat_r2": _ref_rational(nonzero[m][1])}}
+            for m in order
+        ],
+    }
 
 
 def test_immutability(ctx1):

@@ -26,6 +26,19 @@ def test_parse_examples(ctx2):
     assert evaluate(ast, AlgebraContext(1)) == 2
 
 
+@pytest.mark.parametrize(
+    "src, col, ch",
+    [("é1", 1, "é"), ("e1 + ²", 6, "²"), ("٣ e1", 1, "٣")],
+    ids=["letter", "superscript-digit", "arabic-indic-digit"],
+)
+def test_non_ascii_is_an_unexpected_character(ctx2, src, col, ch):
+    # the language is ASCII: a Unicode letter or digit is not a name or a number
+    with pytest.raises(ParseError) as err:
+        parse(src, ctx2)
+    assert (err.value.line, err.value.col) == (1, col)
+    assert err.value.message == f"unexpected character {ch!r}"
+
+
 def test_parse_index_out_of_range(ctx2):
     with pytest.raises(ParseError) as err:
         parse("e3", ctx2)
@@ -198,11 +211,12 @@ def test_dense_canonical_form_reparses():
 
 
 def test_dense_chain_compares_and_prints():
-    # == and repr walk the 1023-link left spine in a loop, as evaluate does
+    # ==, hash and repr walk the 1023-link left spine in a loop, as evaluate does
     ctx = AlgebraContext(5)
     text = str(_dense(ctx))
     node = parse(text, ctx)
     assert node == parse(text, ctx)
+    assert hash(node) == hash(parse(text, ctx))
     assert node != parse(str(_dense(ctx, first=2)), ctx)  # differs only in the innermost leaf
     shown = repr(node)
     assert shown.startswith("Binary(op=") and shown.count("Binary(op=") > 1023
@@ -243,7 +257,8 @@ def test_deep_nesting_errors_not_crashes(ctx2):
 def test_fuzzed_inputs_never_crash(ctx2, rng):
     import string
 
-    alphabet = string.ascii_lowercase + string.digits + "+-*^_|!~'() /r2et"
+    # non-ASCII letters and digits are outside the language, like "$"
+    alphabet = string.ascii_lowercase + string.digits + "+-*^_|!~'() /r2et" + "é²٣$"
     for _ in range(400):
         src = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 30)))
         try:
