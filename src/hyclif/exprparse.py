@@ -1,4 +1,4 @@
-"""Expression language over the algebra: lexer, Pratt-style parser, evaluator.
+"""Expression language over the algebra: lexer, precedence parser, evaluator.
 
 Grammar, loosest to tightest binding:
 
@@ -8,6 +8,9 @@ Grammar, loosest to tightest binding:
     wedge    := unary ("^" unary)*
     unary    := ("-" | "~" | "'" | "!c" | "!" | "!!") unary | primary
     primary  := "(" expr ")" | call | atom | literal [atom]
+
+One operator table, `_LEVEL`, holds the four binary levels: the parser reads
+them in one precedence loop, and `unparse` reads them to place parentheses.
 
 Atoms are e1..en, t1..tn, s1..s2n (orthonormal basis vectors), `sigma` (the
 orientation element), and REPL-bound names.  Literals are nonnegative
@@ -29,6 +32,7 @@ from .hyperspace import sigma_vector
 from .multivector import (
     AlgebraContext,
     Multivector,
+    _owned,
     _require_same_context,
     bilinear,
     gp,
@@ -120,15 +124,16 @@ RESERVED = FUNCTIONS + ("sigma", "r2")
 
 _GENERATOR = re.compile(r"([ets])([1-9][0-9]*)\Z")
 
-# The language is ASCII: one alternative per token kind, in this order, and a
-# last one that catches any other character.  "!c" is conjugation unless a name
-# character follows ("!conj" is "!" before the name "conj").  Identifiers
-# exclude "_" so the contraction operators _| and |_ lex cleanly.
+# The language is ASCII.  One match is the blanks before a token and then the
+# token: one alternative per kind, in this order, then end of input and last
+# any other character.  "!c" is conjugation unless a name character follows
+# ("!conj" is "!" before the name "conj").  Identifiers exclude "_" so the
+# contraction operators _| and |_ lex cleanly.
 _TOKEN = re.compile(
-    r"(?P<NL>\n)|(?P<WS>[ \t\r]+)"
+    r"[ \t\r]*(?:(?P<NL>\n)"
     r"|(?P<OP>_\||\|_|!!|!c(?![A-Za-z0-9_])|[-+*^~'!(),])"
     r"|(?P<NUM>[0-9]+(?:/[0-9]+)?)|(?P<NAME>[A-Za-z][A-Za-z0-9]*)"
-    r"|(?P<BAD>.)",
+    r"|(?P<END>\Z)|(?P<BAD>.))",
     re.DOTALL,
 )
 
@@ -140,31 +145,41 @@ class _Token(NamedTuple):
     col: int
 
 
+_new_token = tuple.__new__  # skips the Python-level _Token.__new__
+
+
 def _lex(src: str) -> list[_Token]:
     tokens: list[_Token] = []
+    append = tokens.append
     line, line_start = 1, 0  # line_start: index of the current line's first character
-    for m in _TOKEN.finditer(src):
+    for m in _TOKEN.finditer(src):  # the last match is END or a raise
         kind = m.lastgroup
-        if kind == "WS":
-            continue
         if kind == "NL":
             line += 1
             line_start = m.end()
             continue
-        text, col = m.group(), m.start() - line_start + 1
+        text, col = m[kind], m.start(kind) - line_start + 1
         if kind == "BAD":
             raise ParseError(f"unexpected character {text!r}", line, col)
         if kind == "NAME" and text == "r2":
             kind = "R2"
-        tokens.append(_Token(kind, text, line, col))
-    tokens.append(_Token("END", "", line, len(src) - line_start + 1))
-    return tokens
+        append(_new_token(_Token, (kind, text, line, col)))
+        if kind == "END":
+            return tokens
 
+
+# The binary operators and their levels, loosest first; all associate left.
+# The parser and unparse both read this one table.
+_LEVEL = {"+": 1, "-": 1, "*": 2, "_|": 3, "|_": 3, "^": 4}
+_UNARY_OPS = frozenset(("-", "~", "'", "!c", "!", "!!"))
 
 _MAX_DEPTH = 100  # nesting guard: fail with a ParseError, never a RecursionError
 
 
 class _Parser:
+    # Only OP tokens have operator texts, so testing a token's text alone
+    # tells an operator from a name, a number or END (whose text is "").
+
     def __init__(self, tokens: Sequence[_Token], ctx: AlgebraContext, names: frozenset[str]):
         self.tokens = tokens
         self.pos = 0
@@ -177,56 +192,38 @@ class _Parser:
         if self.depth > _MAX_DEPTH:
             raise ParseError("expression nested too deeply", tok.line, tok.col)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
+    def _close(self) -> None:
         tok = self.tokens[self.pos]
+        if tok.text != ")":
+            raise ParseError("unbalanced parenthesis", tok.line, tok.col)
         self.pos += 1
-        return tok
 
-    def expect_op(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "OP" or tok.text != text:
-            raise ParseError(f"expected {text!r}", tok.line, tok.col)
-        return self.advance()
-
-    def at_op(self, *texts: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "OP" and tok.text in texts
-
-    # precedence levels, loosest first
     def parse_expr(self) -> Expr:
-        node = self.parse_mul()
-        while self.at_op("+", "-"):
-            op = self.advance().text
-            node = Binary(op, node, self.parse_mul())
-        return node
+        """Operands joined by binary operators, in one loop over _LEVEL.
 
-    def parse_mul(self) -> Expr:
-        node = self.parse_contract()
-        while self.at_op("*"):
-            self.advance()
-            node = Binary("*", node, self.parse_contract())
-        return node
-
-    def parse_contract(self) -> Expr:
-        node = self.parse_wedge()
-        while self.at_op("_|", "|_"):
-            op = self.advance().text
-            node = Binary(op, node, self.parse_wedge())
-        return node
-
-    def parse_wedge(self) -> Expr:
+        `pending` holds the open left operands with their operators, at
+        strictly rising levels; an operator first closes every pending one
+        that binds at least as tightly as itself.
+        """
+        tokens = self.tokens
+        pending: list[tuple[Expr, str, int]] = []
         node = self.parse_unary()
-        while self.at_op("^"):
-            self.advance()
-            node = Binary("^", node, self.parse_unary())
-        return node
+        while True:
+            op = tokens[self.pos].text
+            level = _LEVEL.get(op, 0)
+            while pending and pending[-1][2] >= level:
+                left, left_op, _ = pending.pop()
+                node = Binary(left_op, left, node)
+            if not level:
+                return node
+            self.pos += 1
+            pending.append((node, op, level))
+            node = self.parse_unary()
 
     def parse_unary(self) -> Expr:
-        if self.at_op("-", "~", "'", "!c", "!", "!!"):
-            tok = self.advance()
+        tok = self.tokens[self.pos]
+        if tok.text in _UNARY_OPS:
+            self.pos += 1
             self._descend(tok)
             try:
                 return Unary("neg" if tok.text == "-" else tok.text, self.parse_unary())
@@ -235,30 +232,28 @@ class _Parser:
         return self.parse_primary()
 
     def parse_primary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "(":
-            self.advance()
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind == "NAME":
+            self.pos += 1
+            if tok.text in FUNCTIONS:
+                return self._parse_call(tok)
+            return self._atom(tok)
+        if kind == "NUM":
+            self.pos += 1
+            return self._maybe_juxtapose(Lit(self._number(tok)))
+        if kind == "R2":
+            self.pos += 1
+            return self._maybe_juxtapose(Lit(Scalar(0, 1)))
+        if tok.text == "(":
+            self.pos += 1
             self._descend(tok)
             try:
                 node = self.parse_expr()
             finally:
                 self.depth -= 1
-            closing = self.peek()
-            if not self.at_op(")"):
-                raise ParseError("unbalanced parenthesis", closing.line, closing.col)
-            self.advance()
+            self._close()
             return node
-        if tok.kind == "NUM":
-            self.advance()
-            return self._maybe_juxtapose(Lit(self._number(tok)))
-        if tok.kind == "R2":
-            self.advance()
-            return self._maybe_juxtapose(Lit(Scalar(0, 1)))
-        if tok.kind == "NAME":
-            self.advance()
-            if tok.text in FUNCTIONS:
-                return self._parse_call(tok)
-            return self._atom(tok)
         raise ParseError(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", tok.line, tok.col)
 
     def _number(self, tok: _Token) -> Scalar:
@@ -267,15 +262,15 @@ class _Parser:
         r = int(den or 1)
         if r == 0:
             raise ParseError("zero denominator", tok.line, tok.col)
-        if self.peek().kind == "R2":
-            self.advance()
+        if self.tokens[self.pos].kind == "R2":
+            self.pos += 1
             return Scalar._make(0, int(num), r)
         return Scalar._make(int(num), 0, r)
 
     def _maybe_juxtapose(self, lit: Lit) -> Expr:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "NAME" and tok.text not in FUNCTIONS:
-            self.advance()
+            self.pos += 1
             return Binary("*", lit, self._atom(tok))
         return lit
 
@@ -296,19 +291,19 @@ class _Parser:
 
     def _parse_call(self, tok: _Token) -> Call:
         fn = tok.text
-        self.expect_op("(")
+        opening = self.tokens[self.pos]
+        if opening.text != "(":
+            raise ParseError("expected '('", opening.line, opening.col)
+        self.pos += 1
         self._descend(tok)
         try:
             args = [self.parse_expr()]
-            while self.at_op(","):
-                self.advance()
+            while self.tokens[self.pos].text == ",":
+                self.pos += 1
                 args.append(self.parse_expr())
         finally:
             self.depth -= 1
-        closing = self.peek()
-        if not self.at_op(")"):
-            raise ParseError("unbalanced parenthesis", closing.line, closing.col)
-        self.advance()
+        self._close()
         arity = 2 if fn in ("ip", "grade") else 1
         if len(args) != arity:
             raise ParseError(f"{fn} takes {arity} argument(s)", tok.line, tok.col)
@@ -319,7 +314,7 @@ def parse(src: str, ctx: AlgebraContext, names: Iterable[str] = ()) -> Expr:
     """Parse source text into an AST; atom indices are validated against ctx."""
     parser = _Parser(_lex(src), ctx, frozenset(names))
     node = parser.parse_expr()
-    tail = parser.peek()
+    tail = parser.tokens[parser.pos]
     if tail.kind != "END":
         raise ParseError(f"unexpected {tail.text!r}", tail.line, tail.col)
     return node
@@ -349,12 +344,8 @@ def evaluate(
 ) -> Multivector:
     """Exact value of an AST as a Multivector of ctx."""
     env = env or {}
-    if isinstance(node, Lit):
-        return ctx.scalar(node.value)
     if isinstance(node, Atom):
         return _atom_value(node.name, ctx, env)
-    if isinstance(node, Unary):
-        return _UNARY_FNS[node.op](evaluate(node.arg, ctx, env))
     if isinstance(node, Binary):
         # a flat chain like a + b + c nests to the left as deep as it is long:
         # walk its left spine in a loop so that only right operands recurse,
@@ -370,8 +361,16 @@ def evaluate(
             product = _BINARY_FNS.get(b.op)
             if product is not None:
                 if acc is not None:
-                    value, acc = Multivector(value.context, acc), None
-                value = product(value, right)
+                    value, acc = _owned(value.context, acc), None
+                if b.op == "*" and (type(b.left) is Lit or type(b.right) is Lit):
+                    # a literal factor (2 e1, 1/2 r2 s3, u * 2) scales the other one
+                    _require_same_context(value, right)
+                    if type(b.right) is Lit:
+                        value = value.scale(b.right.value)
+                    else:
+                        value = right.scale(b.left.value)
+                else:
+                    value = product(value, right)
                 continue
             _require_same_context(value, right)
             if acc is None:
@@ -381,8 +380,17 @@ def evaluate(
                 prev = acc.get(m)
                 if minus:
                     c = -c
-                acc[m] = c if prev is None else prev + c
-        return value if acc is None else Multivector(value.context, acc)
+                if prev is None:
+                    acc[m] = c
+                elif prev := prev + c:
+                    acc[m] = prev
+                else:  # a cancelled term leaves at once
+                    del acc[m]
+        return value if acc is None else _owned(value.context, acc)
+    if isinstance(node, Lit):
+        return ctx.scalar(node.value)
+    if isinstance(node, Unary):
+        return _UNARY_FNS[node.op](evaluate(node.arg, ctx, env))
     if isinstance(node, Call):
         args = [evaluate(a, ctx, env) for a in node.args]
         if node.fn == "ip":
@@ -407,11 +415,22 @@ def evaluate(
 
 
 def _atom_value(name: str, ctx: AlgebraContext, env: Mapping[str, Multivector]) -> Multivector:
+    """A bound name's value, else the atom's from ctx.atoms, built on first use."""
     if name in env:
         return env[name]
+    value = ctx.atoms.get(name)
+    if value is None:
+        value = ctx.atoms[name] = _atom_definition(name, ctx)
+    return value
+
+
+def _atom_definition(name: str, ctx: AlgebraContext) -> Multivector:
     if name == "sigma":
         return ctx.orientation()
-    kind, num = name[0], int(name[1:])
+    m = _GENERATOR.match(name)
+    if m is None:
+        raise ValueError(f"unknown atom {name!r}")
+    kind, num = m.group(1), int(m.group(2))
     if kind == "e":
         return ctx.e(num)
     if kind == "t":
@@ -427,7 +446,7 @@ def eval_source(
 
 # -- AST printing -------------------------------------------------------------------
 
-_LEVEL = {"+": 1, "-": 1, "*": 2, "_|": 3, "|_": 3, "^": 4}
+# binary operators take their levels from the parser's _LEVEL
 _UNARY_LEVEL = 5
 _PRIMARY_LEVEL = 6
 

@@ -136,6 +136,8 @@ def witt_basis(ctx: AlgebraContext) -> list[Vecfor]:
 def sigma_vector(ctx: AlgebraContext, k: int) -> Vecfor:
     """s_k of the orthonormal basis, 1 <= k <= 2n: see sigma_basis."""
     n = ctx.dim_n
+    if not 1 <= k <= 2 * n:
+        raise ValueError(f"sigma index out of range 1..{2 * n}: {k}")
     vec, form = [ZERO] * n, [ZERO] * n
     vec[(k - 1) % n] = INV_SQRT2 if k <= n else -INV_SQRT2
     form[(k - 1) % n] = INV_SQRT2

@@ -157,9 +157,12 @@ def _wedge_row(ae: int, at: int, sa: int, vs: list, n: int) -> Iterator[tuple[Sc
 class AlgebraContext:
     """Dimension-n algebra context: the Witt Gram matrix and the basis masks.
 
-    A context holds no per-product state, all values built from it are
-    immutable and all operations are pure, so a context can be shared
-    between threads without locking.
+    A context holds no per-product state.  Its one table, `atoms`, maps the
+    expression language's atom names (e1, t1, s1, sigma) to their values,
+    built on first use by `exprparse`.  All values built from a context are
+    immutable and all operations are pure, so a context can be shared between
+    threads without locking: two threads that race on an atom only build an
+    equal value twice.
     """
 
     def __init__(self, dim_n: int) -> None:
@@ -178,6 +181,7 @@ class AlgebraContext:
         self.generator_names = tuple(
             f"{kind}{k}" for kind in "et" for k in range(1, dim_n + 1)
         )
+        self.atoms: dict[str, Multivector] = {}
 
     # -- naming ------------------------------------------------------------
 
@@ -202,17 +206,17 @@ class AlgebraContext:
     # -- element factories ---------------------------------------------------
 
     def zero(self) -> Multivector:
-        return Multivector(self, {})
+        return _owned(self, {})
 
     def scalar(self, value: ScalarLike) -> Multivector:
         s = value if isinstance(value, Scalar) else Scalar(value)
-        return Multivector(self, {0: s} if s else {})
+        return _owned(self, {0: s} if s else {})
 
     def blade(self, mask: int, coeff: ScalarLike = ONE) -> Multivector:
         if not 0 <= mask <= self.full_mask:
             raise ValueError(f"blade mask out of range: {mask:#x}")
         s = coeff if isinstance(coeff, Scalar) else Scalar(coeff)
-        return Multivector(self, {mask: s} if s else {})
+        return _owned(self, {mask: s} if s else {})
 
     def generator(self, g: int) -> Multivector:
         return self.blade(1 << g)
@@ -256,8 +260,22 @@ class Multivector:
     __slots__ = ("context", "terms")
 
     def __init__(self, context: AlgebraContext, terms: dict[int, Scalar]) -> None:
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "terms", {m: c for m, c in terms.items() if c})
+        """Copy terms, dropping zero coefficients.
+
+        Raises ValueError unless every key is a blade mask of the context and
+        every value a Scalar.
+        """
+        full = context.full_mask
+        own = {}
+        for m, c in terms.items():
+            if type(m) is not int or not 0 <= m <= full:
+                raise ValueError(f"blade mask out of range for n={context.dim_n}: {m!r}")
+            if not isinstance(c, Scalar):
+                raise ValueError(f"coefficient of blade {m:#x} is not a Scalar: {c!r}")
+            if c:
+                own[m] = c
+        _set_context(self, context)
+        _set_terms(self, own)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Multivector is immutable")
@@ -306,8 +324,13 @@ class Multivector:
         out = dict(self.terms)
         for m, c in o.terms.items():
             acc = out.get(m)
-            out[m] = c if acc is None else acc + c
-        return Multivector(self.context, out)
+            if acc is None:
+                out[m] = c
+            elif acc := acc + c:
+                out[m] = acc
+            else:
+                del out[m]
+        return _owned(self.context, out)
 
     __radd__ = __add__
 
@@ -318,8 +341,13 @@ class Multivector:
         out = dict(self.terms)
         for m, c in o.terms.items():
             acc = out.get(m)
-            out[m] = -c if acc is None else acc - c
-        return Multivector(self.context, out)
+            if acc is None:
+                out[m] = -c
+            elif acc := acc - c:
+                out[m] = acc
+            else:
+                del out[m]
+        return _owned(self.context, out)
 
     def __rsub__(self, other: object) -> Multivector:
         o = self._coerce(other)
@@ -328,13 +356,13 @@ class Multivector:
         return o - self
 
     def __neg__(self) -> Multivector:
-        return Multivector(self.context, {m: -c for m, c in self.terms.items()})
+        return _owned(self.context, {m: -c for m, c in self.terms.items()})
 
     def scale(self, c: ScalarLike) -> Multivector:
         s = c if isinstance(c, Scalar) else Scalar(c)
         if not s:
             return self.context.zero()
-        return Multivector(self.context, {m: s * x for m, x in self.terms.items()})
+        return _owned(self.context, {m: s * x for m, x in self.terms.items()})
 
     def __mul__(self, other: object) -> Multivector:
         if isinstance(other, (Scalar, int, Fraction)):
@@ -370,22 +398,22 @@ class Multivector:
     def grade_part(self, r: int) -> Multivector:
         if not 0 <= r <= self.context.num_generators:
             raise ValueError(f"grade out of range 0..{self.context.num_generators}: {r}")
-        return Multivector(
+        return _owned(
             self.context, {m: c for m, c in self.terms.items() if grade_of(m) == r}
         )
 
     def even_part(self) -> Multivector:
-        return Multivector(
+        return _owned(
             self.context, {m: c for m, c in self.terms.items() if not grade_of(m) & 1}
         )
 
     def odd_part(self) -> Multivector:
-        return Multivector(
+        return _owned(
             self.context, {m: c for m, c in self.terms.items() if grade_of(m) & 1}
         )
 
     def _signed(self, sign_of_grade) -> Multivector:
-        return Multivector(
+        return _owned(
             self.context,
             {m: (c if sign_of_grade(grade_of(m)) > 0 else -c) for m, c in self.terms.items()},
         )
@@ -419,6 +447,22 @@ class Multivector:
         return {"dim": ctx.dim_n, "terms": terms}
 
 
+# the slot setters, past Multivector.__setattr__, which refuses every assignment
+_set_context, _set_terms = Multivector.context.__set__, Multivector.terms.__set__
+
+
+def _owned(context: AlgebraContext, terms: dict[int, Scalar]) -> Multivector:
+    """A Multivector that takes terms as its own, unchecked and uncopied.
+
+    For the library's fresh dicts only: every key a blade mask of context,
+    every value a nonzero Scalar, and no other reference kept.
+    """
+    u = object.__new__(Multivector)
+    _set_context(u, context)
+    _set_terms(u, terms)
+    return u
+
+
 # -- the operations -------------------------------------------------------------
 
 
@@ -442,19 +486,23 @@ def _extend(u: Multivector, v: Multivector, row) -> Multivector:
     acc: dict[int, Scalar] = {}
     for ae, at, sa, ca in _split(u):
         for cb, terms in row(ae, at, sa, vs, n):
-            cab = ca * cb
+            cab = ca * cb  # nonzero, as ca and cb are
             neg = None
             for m, odd in terms:
                 prev = acc.get(m)
-                if prev is not None:
-                    acc[m] = prev - cab if odd else prev + cab
+                if prev is not None:  # a cancelled term leaves at once
+                    prev = prev - cab if odd else prev + cab
+                    if prev:
+                        acc[m] = prev
+                    else:
+                        del acc[m]
                 elif not odd:
                     acc[m] = cab
                 else:
                     if neg is None:
                         neg = -cab
                     acc[m] = neg
-    return Multivector(ctx, acc)
+    return _owned(ctx, acc)
 
 
 def wedge(u: Multivector, v: Multivector) -> Multivector:

@@ -111,7 +111,7 @@ class Scalar:
         return None
 
     def __add__(self, other: object) -> Scalar:
-        o = self._coerce(other)
+        o = other if type(other) is Scalar else self._coerce(other)
         if o is None:
             return NotImplemented
         return Scalar._make(self.p * o.r + o.p * self.r, self.q * o.r + o.q * self.r, self.r * o.r)
@@ -119,7 +119,7 @@ class Scalar:
     __radd__ = __add__
 
     def __sub__(self, other: object) -> Scalar:
-        o = self._coerce(other)
+        o = other if type(other) is Scalar else self._coerce(other)
         if o is None:
             return NotImplemented
         return Scalar._make(self.p * o.r - o.p * self.r, self.q * o.r - o.q * self.r, self.r * o.r)
@@ -138,11 +138,14 @@ class Scalar:
         return out
 
     def __mul__(self, other: object) -> Scalar:
-        if isinstance(other, int):
+        if type(other) is Scalar:
+            o = other
+        elif isinstance(other, int):
             return Scalar._make(self.p * other, self.q * other, self.r)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
         # (p1 + q1 s)(p2 + q2 s) = p1 p2 + 2 q1 q2 + (p1 q2 + q1 p2) s
         return Scalar._make(
             self.p * o.p + 2 * self.q * o.q,

@@ -445,6 +445,40 @@ def test_no_zero_coefficients_stored(ctx2, rng):
     assert (u - u).terms == {}
 
 
+def test_cancelled_terms_leave_at_once(ctx2, rng):
+    e1, t1 = ctx2.e(1), ctx2.t(1)
+    # the scalar terms of -e1 t1 and t1 e1 cancel inside one gp
+    w = gp(e1 + t1, e1 - t1)
+    assert w.terms == {0b0101: Scalar(-2)}  # -2 e1^t1
+    for _ in range(30):
+        u = random_multivector(ctx2, rng)
+        v = random_multivector(ctx2, rng)
+        uv = gp(u, v)
+        assert (uv - uv).terms == {} and (uv + (-uv)).terms == {}
+        assert all(c for c in gp(u + v, u - v).terms.values())
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [{1: 2}, {1: Fraction(1, 2)}, {1: None}, {16: ONE}, {-1: ONE}, {"e1": ONE}, {1.0: ONE}],
+    ids=["int-coeff", "fraction-coeff", "none-coeff", "mask-4^n", "negative-mask",
+         "name-key", "float-key"],
+)
+def test_constructor_rejects_what_it_cannot_print(ctx2, terms):
+    # at n = 2 the masks are 0 .. 15 and every coefficient is a Scalar
+    with pytest.raises(ValueError):
+        Multivector(ctx2, terms)
+
+
+def test_constructor_copies_and_drops_zeros(ctx2):
+    terms = {0: ONE, 3: ZERO, 15: SQRT2}
+    u = Multivector(ctx2, terms)
+    assert u.terms == {0: ONE, 15: SQRT2}
+    terms[0] = ZERO
+    assert u.terms == {0: ONE, 15: SQRT2}
+    assert str(u) == "1 + r2 e1^e2^t1^t2"
+
+
 def test_gram_matrix_shape(ctx2):
     g = ctx2.gram
     assert len(g) == 4 and all(len(row) == 4 for row in g)
