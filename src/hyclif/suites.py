@@ -1207,7 +1207,11 @@ def suite_identities(name: str) -> list[Identity]:
 
 
 def run_suite(name: str, n: int, trials: int = 200, seed: int = 0) -> SuiteReport:
-    """Run one suite (or `all`) at dimension n; deterministic in (seed, n, trials)."""
+    """Run one suite (or `all`) at dimension n; deterministic in (seed, n, trials).
+
+    Raises ValueError for a bad argument, before any identity runs.  An
+    identity that raises is reported as a FAIL line naming the exception.
+    """
     idents = suite_identities(name)
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -1223,10 +1227,13 @@ def run_suite(name: str, n: int, trials: int = 200, seed: int = 0) -> SuiteRepor
         rounds = trials if ident.per_trial else 1
         check = ident.fn if ident.text is None else _law_check(ident.text, ident.draw)
         failure = None
-        for _ in range(rounds):
-            failure = check(ctx, rng)
-            if failure is not None:
-                break
+        try:
+            for _ in range(rounds):
+                failure = check(ctx, rng)
+                if failure is not None:
+                    break
+        except Exception as exc:  # a raising identity fails; the run goes on
+            failure = f"raised {type(exc).__name__}: {exc}"
         if failure is None:
             report.lines.append(f"PASS {ident.suite}: {ident.name}")
         else:

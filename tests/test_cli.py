@@ -8,6 +8,8 @@ import pytest
 
 from hyclif.cli import EXIT_EVAL, EXIT_OK, EXIT_SUITE, EXIT_USAGE, main, repl
 from hyclif.multivector import AlgebraContext
+from hyclif.suites import SUITE_NAMES
+from hyclif.tables import FORMATS, PRODUCTS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -65,6 +67,22 @@ def test_check_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--dim", "1", "check", "--suite", "bogus"])
     assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "unknown suite 'bogus'" in err
+    for name in SUITE_NAMES + ("all",):
+        assert repr(name) in err
+
+
+@pytest.mark.parametrize("option, valid", [("--product", PRODUCTS), ("--format", FORMATS)])
+def test_table_unknown_name(capsys, option, valid):
+    argv = ["--dim", "1", "table", "--product", "wedge", option, "bogus"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"unknown {option[2:]} 'bogus'" in err
+    for name in valid:
+        assert repr(name) in err
 
 
 def test_check_dim_too_large(capsys):
@@ -81,6 +99,23 @@ def test_check_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run_main(capsys, "--dim", "1", "check", "--suite", "witt")
     assert code == EXIT_SUITE
     assert "FAIL witt: forced: boom" in out
+
+
+def test_check_raising_identity_fails_and_the_run_goes_on(capsys, monkeypatch):
+    import hyclif.suites as suites
+
+    def boom(ctx, rng):
+        raise ValueError("element is not in the theta* ideal")
+
+    broken = suites.Identity(suite="witt", name="raises", fn=boom)
+    witt = [ident for ident in suites.IDENTITIES if ident.suite == "witt"]
+    monkeypatch.setattr(suites, "IDENTITIES", [broken] + suites.IDENTITIES)
+    code, out, err = run_main(capsys, "--dim", "1", "check", "--suite", "witt", "--trials", "2")
+    assert (code, err) == (EXIT_SUITE, "")
+    fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert fails == ["FAIL witt: raises: raised ValueError: element is not in the theta* ideal"]
+    assert out.count("PASS witt: ") + out.count("SKIP witt: ") == len(witt)
+    assert out.endswith("1 identity(ies) FAILED\n")
 
 
 def test_table_output(capsys):

@@ -1,0 +1,111 @@
+"""What `import hyclif` and the CLI load: each probe runs in a fresh interpreter."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import hyclif
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(hyclif.__file__)))
+
+SUBMODULES = (
+    "endo", "exprparse", "fock", "hyperspace", "ideals", "linalg", "multivector", "scalar",
+    "suites", "tables",
+)
+REEXPORTS = {
+    "exprparse": ("ParseError", "eval_source", "evaluate", "parse", "unparse"),
+    "fock": ("FockMatrix", "clifford_map_matrix", "even_odd_block_structure",
+             "grandmother_dimension_check", "rep", "tensor_split_check", "verify_end_iso"),
+    "hyperspace": ("Subspace", "SymmetricForm", "Vecfor", "bracket", "classify", "identity_form",
+                   "isotropic_extension_of", "null_subspace", "reciprocal_basis", "rho_b_split",
+                   "second_order_basis", "sigma_basis", "sigma_components", "vec_pairing",
+                   "witt_basis"),
+    "endo": ("HEndo", "LinMapV", "NullVecforError", "endo_matrix_sigma",
+             "hyperplane_representation", "isotropic_extension", "projection", "reflection",
+             "vecfor_endo"),
+    "ideals": ("IdealBasis", "SpinorRep", "ideal_span", "minimality_check", "module_action",
+               "module_map", "spinor_compose", "spinor_decompose", "spinor_from_json",
+               "spinor_to_json"),
+    "multivector": ("AlgebraContext", "ContextMismatchError", "Multivector", "bilinear",
+                    "differential_apply", "gp", "hodge", "hodge_inv", "lcontract",
+                    "poincare_iso", "rcontract", "wedge"),
+    "scalar": ("Scalar",),
+    "suites": ("run_suite",),
+    "tables": ("emit_table",),
+}
+
+
+def probe(code: str):
+    """Run code in a fresh interpreter; it prints one JSON value, returned here."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('hyclif.'))))"
+
+
+def test_import_loads_no_submodule():
+    assert probe(f"import json, sys\nimport hyclif\n{LOADED}") == []
+
+
+def test_context_loads_scalar_and_multivector_only():
+    code = f"import json, sys\nimport hyclif\nhyclif.AlgebraContext(3)\n{LOADED}"
+    assert probe(code) == ["hyclif.multivector", "hyclif.scalar"]
+
+
+def test_eval_command_skips_the_checking_layers():
+    code = (
+        "import contextlib, io, json, runpy, sys\n"
+        "sys.argv = ['hyclif', '--dim', '3', 'eval', 'e1*t1 + s2']\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):\n"
+        "    runpy.run_module('hyclif', run_name='__main__', alter_sys=True)\n"
+        "print(json.dumps([out.getvalue(), sorted(m for m in sys.modules if m.startswith('hyclif.'))]))"
+    )
+    out, loaded = probe(code)
+    assert out == "1 + 1/2 r2 e2 + 1/2 r2 t2 + e1^t1\n"
+    for name in ("suites", "fock", "ideals", "endo", "tables"):
+        assert f"hyclif.{name}" not in loaded
+
+
+def test_public_names_resolve_to_their_definitions():
+    names = [name for names in REEXPORTS.values() for name in names]
+    assert len(names) + len(SUBMODULES) == 71
+    code = (
+        "import importlib, json, sys\n"
+        "import hyclif\n"
+        f"origin = {json.dumps({n: m for m, ns in REEXPORTS.items() for n in ns})}\n"
+        f"submodules = {json.dumps(SUBMODULES)}\n"
+        "listed = dir(hyclif)\n"
+        "bad = [n for n, m in origin.items()\n"
+        "       if getattr(hyclif, n) is not getattr(importlib.import_module('hyclif.' + m), n)]\n"
+        "bad += [m for m in submodules if getattr(hyclif, m) is not sys.modules['hyclif.' + m]]\n"
+        "missing = [n for n in [*origin, *submodules] if n not in listed]\n"
+        "print(json.dumps([bad, missing, sorted(hyclif.__all__)]))"
+    )
+    bad, missing, exported = probe(code)
+    assert bad == [] and missing == []
+    assert exported == sorted(names)
+
+
+def test_star_import_is_all_without_submodules():
+    code = (
+        "import json\n"
+        "ns = {}\n"
+        "exec('from hyclif import *', ns)\n"
+        "import hyclif\n"
+        "print(json.dumps([sorted(k for k in ns if k != '__builtins__'), sorted(hyclif.__all__)]))"
+    )
+    star, exported = probe(code)
+    assert star == exported
+    assert not set(star) & set(SUBMODULES)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        hyclif.no_such_name  # noqa: B018
