@@ -3,7 +3,10 @@
 Each suite bundles the exact (zero-tolerance) laws of one slice of the
 algebra; the runner draws seeded random operands per identity, so identical
 (seed, n, trials) always produce identical report bytes.  Most identities are
-laws (`_law`): expression text that is evaluated and, on failure, printed.
+laws (`_law`): expression text that is evaluated and, on failure, printed with
+its operands.  Constants a law needs (E = e_*, T = theta*, sign = (-1)^n) are
+operands too, so every FAIL line replays in `eval`.  The rest are functions
+(`@identity`) that need loops, draw-dependent signs or calls beyond the syntax.
 """
 
 from __future__ import annotations
@@ -73,13 +76,9 @@ from .multivector import (
     AlgebraContext,
     Multivector,
     bilinear,
-    differential_apply,
     gp,
     hodge,
-    hodge_inv,
-    lcontract,
     poincare_iso,
-    rcontract,
     wedge,
 )
 from .scalar import INV_SQRT2, ONE, ZERO, Scalar
@@ -146,15 +145,6 @@ def random_vecfor(ctx: AlgebraContext, rng: random.Random) -> Vecfor:
         ctx,
         tuple(random_scalar(rng) if rng.random() < 0.8 else ZERO for _ in range(n)),
         tuple(random_scalar(rng) if rng.random() < 0.8 else ZERO for _ in range(n)),
-    )
-
-
-def _vec_and_form(x: Vecfor) -> tuple[Multivector, Multivector]:
-    """The V part x_vec and the V* part x_form of a vecfor, as multivectors."""
-    ctx, n = x.context, x.context.dim_n
-    return (
-        Multivector(ctx, {1 << k: c for k, c in enumerate(x.vec) if c}),
-        Multivector(ctx, {1 << (n + k): c for k, c in enumerate(x.form) if c}),
     )
 
 
@@ -236,7 +226,7 @@ def _p(u) -> str:
 
 def _fail(template: str, **vals) -> str:
     bind = "; ".join(f"{k}={_p(v)}" for k, v in vals.items())
-    return f"{template} with {bind}"
+    return f"{template} with {bind}" if vals else template
 
 
 def _expect_zero(diff: Multivector | Scalar, template: str, **vals) -> Optional[str]:
@@ -263,14 +253,40 @@ def _vecfor_mv(ctx, rng):
     return random_vecfor(ctx, rng).to_multivector()
 
 
-def _covector(ctx, rng):
-    return random_multivector(ctx, rng, support_mask=ctx.theta_star_mask)
+# multivectors of /\V (supported on e_*) and of /\V* (supported on theta*)
+def _vector(ctx, rng, no_scalar=False):
+    return random_multivector(ctx, rng, support_mask=ctx.e_star_mask, no_scalar=no_scalar)
 
 
-# the draws most laws use: multivectors u, v, w and vecfors x, y
+def _covector(ctx, rng, no_scalar=False):
+    return random_multivector(ctx, rng, support_mask=ctx.theta_star_mask, no_scalar=no_scalar)
+
+
+def _vecfor_halves(ctx, rng):
+    """The V half xv and the V* half xf of one random vecfor."""
+    x, n = random_vecfor(ctx, rng), ctx.dim_n
+    return {
+        "xv": Multivector(ctx, {1 << k: c for k, c in enumerate(x.vec) if c}),
+        "xf": Multivector(ctx, {1 << (n + k): c for k, c in enumerate(x.form) if c}),
+    }
+
+
+# constants are operands too, so that a FAIL line prints them and replays in `eval`
+def _sign(ctx, rng):
+    return ctx.scalar((-1) ** ctx.dim_n)
+
+
+# the common draws: multivectors u, v, w, vecfors x, y and the top blades E = e_*, T = theta*
 _mv = random_multivector
 _U, _UV, _UVW = _draw(u=_mv), _draw(u=_mv, v=_mv), _draw(u=_mv, v=_mv, w=_mv)
-_XY, _XUV = _draw(x=_vecfor_mv, y=_vecfor_mv), _draw(x=_vecfor_mv, u=_mv, v=_mv)
+_XY, _XU = _draw(x=_vecfor_mv, y=_vecfor_mv), _draw(x=_vecfor_mv, u=_mv)
+_XUV = _draw(x=_vecfor_mv, u=_mv, v=_mv)
+_ET = _draw(E=lambda ctx, rng: ctx.e_star(), T=lambda ctx, rng: ctx.theta_star())
+
+
+def _split_draw(ctx, rng):
+    """A split element a ^ b (a on e_*, b on theta*) and a vecfor xv + xf."""
+    return {"a": _vector(ctx, rng), "b": _covector(ctx, rng), **_vecfor_halves(ctx, rng)}
 
 
 def _law_check(text: str, draw):
@@ -325,14 +341,10 @@ _law("contractions", "adjoint law: ip(v |_ u, w) = ip(v, w ^ ~u)",
      "ip(v |_ u, w) - ip(v, w ^ ~u)", _UVW)
 
 
-@identity("contractions", "isotropic halves contract to zero")
-def _contr_isotropic_halves(ctx, rng):
-    ue = random_multivector(ctx, rng, support_mask=ctx.e_star_mask, no_scalar=True)
-    ve = random_multivector(ctx, rng, support_mask=ctx.e_star_mask)
-    ut = random_multivector(ctx, rng, support_mask=ctx.theta_star_mask, no_scalar=True)
-    vt = random_multivector(ctx, rng, support_mask=ctx.theta_star_mask)
-    d = lcontract(ue, ve) + lcontract(ut, vt) + rcontract(ve, ue) + rcontract(vt, ut)
-    return _expect_zero(d, "u_e _| v_e, u_t _| v_t (and right analogues)", u_e=ue, v_e=ve, u_t=ut, v_t=vt)
+_law("contractions", "isotropic halves contract to zero",
+     "ue _| ve + ut _| vt + ve |_ ue + vt |_ ut",
+     _draw(ue=lambda ctx, rng: _vector(ctx, rng, no_scalar=True), ve=_vector,
+           ut=lambda ctx, rng: _covector(ctx, rng, no_scalar=True), vt=_covector))
 
 
 @identity("contractions", "split-degree pairing carries the sign (-1)^(rs)")
@@ -353,19 +365,8 @@ def _contr_mixed_grade_pairing(ctx, rng):
     )
 
 
-@identity("contractions", "vector against a split element expands by halves")
-def _contr_vector_mixed(ctx, rng):
-    u_vec = random_multivector(ctx, rng, support_mask=ctx.e_star_mask)
-    u_form = random_multivector(ctx, rng, support_mask=ctx.theta_star_mask)
-    x = random_vecfor(ctx, rng)
-    xm = x.to_multivector()
-    x_vec, x_form = _vec_and_form(x)
-    u = wedge(u_vec, u_form)
-    lhs = lcontract(xm, u)
-    rhs = wedge(lcontract(x_form, u_vec), u_form) + wedge(
-        u_vec.grade_involution(), lcontract(x_vec, u_form)
-    )
-    return _expect_zero(lhs - rhs, "x _| (a ^ b) - (x_form _| a) ^ b - 'a ^ (x_vec _| b)", x=xm, a=u_vec, b=u_form)
+_law("contractions", "vector against a split element expands by halves",
+     "(xv + xf) _| (a ^ b) - (xf _| a) ^ b - 'a ^ (xv _| b)", _split_draw)
 
 
 @identity("contractions", "wedge is graded-anticommutative")
@@ -403,32 +404,9 @@ def _contr_grade_resum(ctx, rng):
     return _expect_zero(d, "sum_r grade(u,r) - u and even(u)+odd(u)-u", u=u)
 
 
-@identity("contractions", "differential squares to zero")
-def _contr_diff_square(ctx, rng):
-    x = random_vecfor(ctx, rng)
-    u = random_multivector(ctx, rng)
-    return _expect_zero(
-        differential_apply(x, differential_apply(x, u)),
-        "x _| (x _| u)",
-        x=x.to_multivector(), u=u,
-    )
-
-
-@identity("contractions", "differential anticommutes with grade involution")
-def _contr_diff_anticommute(ctx, rng):
-    x = random_vecfor(ctx, rng)
-    u = random_multivector(ctx, rng)
-    d = differential_apply(x, u.grade_involution()) + differential_apply(x, u).grade_involution()
-    return _expect_zero(d, "x _| 'u + '(x _| u)", x=x.to_multivector(), u=u)
-
-
-@identity("contractions", "differential graded Leibniz rule")
-def _contr_diff_leibniz(ctx, rng):
-    x = random_vecfor(ctx, rng)
-    u, v = random_multivector(ctx, rng), random_multivector(ctx, rng)
-    lhs = differential_apply(x, wedge(u, v))
-    rhs = wedge(differential_apply(x, u), v) + wedge(u.grade_involution(), differential_apply(x, v))
-    return _expect_zero(lhs - rhs, "x _| (u ^ v) - (x _| u) ^ v - 'u ^ (x _| v)", x=x.to_multivector(), u=u, v=v)
+# the differential of a vecfor x is x _|; its graded Leibniz rule is the x _| (u ^ v) law above
+_law("contractions", "differential squares to zero", "x _| (x _| u)", _XU)
+_law("contractions", "differential anticommutes with grade involution", "x _| 'u + '(x _| u)", _XU)
 
 
 # ---- products suite (geometric product and the End(/\V) model) ---------------------
@@ -473,24 +451,10 @@ _law("products", "u _| sigma = u * sigma and sigma |_ u = sigma * u",
      "u _| sigma - u * sigma + (sigma |_ u - sigma * u)", _U)
 
 
-@identity("products", "ip(u, v*w) = ip(~v*u, w) = ip(u*~w, v)")
-def _prod_bilinear_adjoint(ctx, rng):
-    u, v, w = (random_multivector(ctx, rng) for _ in range(3))
-    a = bilinear(u, gp(v, w))
-    d1 = a - bilinear(gp(v.reversion(), u), w)
-    d2 = a - bilinear(gp(u, w.reversion()), v)
-    return _expect_zero(d1 + d2, "ip(u, v*w) - ip(~v*u, w) - ...", u=u, v=v, w=w)
-
-
-@identity("products", "x ^ u = (x*u + 'u*x)/2 and x _| u = (x*u - 'u*x)/2")
-def _prod_vector_halves(ctx, rng):
-    x = random_vecfor(ctx, rng).to_multivector()
-    u = random_multivector(ctx, rng)
-    gu = u.grade_involution()
-    half = Fraction(1, 2)
-    d1 = wedge(x, u) - (gp(x, u) + gp(gu, x)).scale(half)
-    d2 = lcontract(x, u) - (gp(x, u) - gp(gu, x)).scale(half)
-    return _expect_zero(d1 + d2, "x ^ u - (x*u + 'u*x)/2, x _| u - (x*u - 'u*x)/2", x=x, u=u)
+_law("products", "ip(u, v*w) = ip(~v*u, w) = ip(u*~w, v)",
+     "ip(u, v*w) - ip(~v*u, w) + (ip(u, v*w) - ip(u*~w, v))", _UVW)
+_law("products", "x ^ u = (x*u + 'u*x)/2 and x _| u = (x*u - 'u*x)/2",
+     "2*(x ^ u) - (x*u + 'u*x) + (2*(x _| u) - (x*u - 'u*x))", _XU)
 
 
 _law("products", "x _| (u*v) = (x _| u)*v + 'u*(x _| v)",
@@ -501,47 +465,19 @@ _law("products", "dual as a product: !u = ~u * sigma and !!u = ~sigma * ~u",
      "!u - ~u*sigma + (!!u - ~sigma*~u)", _U)
 
 
-@identity("products", "!(u*v) = ~v * !u and !!(u*v) = (!!v) * ~u")
-def _prod_hodge_twist(ctx, rng):
-    u, v = random_multivector(ctx, rng), random_multivector(ctx, rng)
-    d1 = hodge(gp(u, v)) - gp(v.reversion(), hodge(u))
-    d2 = hodge_inv(gp(u, v)) - gp(hodge_inv(v), u.reversion())
-    return _expect_zero(d1 + d2, "!(u*v) - ~v*!u, !!(u*v) - (!!v)*~u", u=u, v=v)
+_law("products", "!(u*v) = ~v * !u and !!(u*v) = (!!v) * ~u",
+     "!(u*v) - ~v*!u + (!!(u*v) - (!!v)*~u)", _UV)
 
 
 _law("products", "geometric product is associative", "(u*v)*w - u*(v*w)", _UVW)
 _law("products", "x*y + y*x = 2 ip(x, y) on vecfors", "x*y + y*x - 2*ip(x, y)", _XY)
 
 
-@identity("products", "involutions are (anti)automorphisms of the product")
-def _prod_involution_hom(ctx, rng):
-    u, v = random_multivector(ctx, rng), random_multivector(ctx, rng)
-    p = gp(u, v)
-    d1 = p.grade_involution() - gp(u.grade_involution(), v.grade_involution())
-    d2 = p.reversion() - gp(v.reversion(), u.reversion())
-    d3 = p.conjugation() - gp(v.conjugation(), u.conjugation())
-    return _expect_zero(d1 + d2 + d3, "'(uv)-'u'v, ~(uv)-~v~u, !c(uv)-!cv*!cu", u=u, v=v)
-
-
-@identity("products", "vector times a split element expands by halves")
-def _prod_mixed_element(ctx, rng):
-    u_vec = random_multivector(ctx, rng, support_mask=ctx.e_star_mask)
-    u_form = random_multivector(ctx, rng, support_mask=ctx.theta_star_mask)
-    x = random_vecfor(ctx, rng)
-    xm = x.to_multivector()
-    x_vec, x_form = _vec_and_form(x)
-    u = wedge(u_vec, u_form)
-    lhs = gp(xm, u)
-    rhs = wedge(gp(x_form, u_vec), u_form) + wedge(u_vec.grade_involution(), gp(x_vec, u_form))
-    return _expect_zero(lhs - rhs, "x*(a ^ b) - (x_form*a) ^ b - 'a ^ (x_vec*b)", x=xm, a=u_vec, b=u_form)
-
-
-@identity("products", "orientation element squares to one", per_trial=False)
-def _prod_sigma_square(ctx, rng):
-    s = ctx.orientation()
-    if gp(s, s) != 1:
-        return "sigma*sigma != 1"
-    return None
+_law("products", "involutions are (anti)automorphisms of the product",
+     "'(u*v) - 'u*'v + (~(u*v) - ~v*~u) + (!c(u*v) - !c v*!c u)", _UV)
+_law("products", "vector times a split element expands by halves",
+     "(xv + xf)*(a ^ b) - (xf*a) ^ b - 'a ^ (xv*b)", _split_draw)
+_law("products", "orientation element squares to one", "sigma*sigma - 1", _draw())
 
 
 @identity("products", "rep is multiplicative: rep(u*v) = rep(u) rep(v)")
@@ -593,27 +529,15 @@ def _prod_grandmother(ctx, rng):
 # ---- hodge suite ---------------------------------------------------------------------
 
 
-@identity("hodge", "!sigma = (-1)^n and !!sigma = 1", per_trial=False)
-def _hodge_orientation(ctx, rng):
-    s = ctx.orientation()
-    if hodge(s) != ctx.scalar((-1) ** ctx.dim_n):
-        return "!sigma != (-1)^n"
-    if hodge_inv(s) != 1:
-        return "!!sigma != 1"
-    if hodge(ctx.scalar(1)) != s:
-        return "!1 != sigma"
-    return None
+_law("hodge", "!sigma = (-1)^n and !!sigma = 1",
+     "!sigma - sign + (!!sigma - 1) + (!1 - sigma)", _draw(sign=_sign))
 
 
 _law("hodge", "duality round-trips: !!(!u) = u = !(!!u)", "!!(!u) - u + (!(!!u) - u)", _U)
 
 
-@identity("hodge", "ip(!u, !v) = (-1)^n ip(u, v)")
-def _hodge_isometry(ctx, rng):
-    u, v = random_multivector(ctx, rng), random_multivector(ctx, rng)
-    sign = Scalar((-1) ** ctx.dim_n)
-    d = bilinear(hodge(u), hodge(v)) - sign * bilinear(u, v)
-    return _expect_zero(d, "ip(!u, !v) - (-1)^n ip(u, v)", u=u, v=v)
+_law("hodge", "ip(!u, !v) = (-1)^n ip(u, v)", "ip(!u, !v) - sign*ip(u, v)",
+     _draw(u=_mv, v=_mv, sign=_sign))
 
 
 _law("hodge", "!(u ^ v) = ~v _| !u", "!(u ^ v) - ~v _| !u", _UV)
@@ -633,16 +557,9 @@ def _hodge_grade(ctx, rng):
     return None
 
 
-@identity("hodge", "vecfor dual: !x = (x_form _| e_*) ^ theta* - e_* ^ (theta* |_ x_vec)")
-def _hodge_vecfor(ctx, rng):
-    x = random_vecfor(ctx, rng)
-    xm = x.to_multivector()
-    x_vec, x_form = _vec_and_form(x)
-    lhs = hodge(xm)
-    rhs = wedge(lcontract(x_form, ctx.e_star()), ctx.theta_star()) - wedge(
-        ctx.e_star(), rcontract(ctx.theta_star(), x_vec)
-    )
-    return _expect_zero(lhs - rhs, "!x - (x_form _| e_*) ^ t* + e_* ^ (t* |_ x_vec)", x=xm)
+_law("hodge", "vecfor dual: !x = (x_form _| e_*) ^ theta* - e_* ^ (theta* |_ x_vec)",
+     "!(xv + xf) - (xf _| E) ^ T + E ^ (T |_ xv)",
+     lambda ctx, rng: {**_vecfor_halves(ctx, rng), **_ET(ctx, rng)})
 
 
 @identity("hodge", "half-space duals factor the full dual")
@@ -825,12 +742,7 @@ def _witt_orientation_blade(ctx, rng):
     return None
 
 
-@identity("witt", "orientation pairing is (-1)^n", per_trial=False)
-def _witt_orientation_pairing(ctx, rng):
-    s = ctx.orientation()
-    if bilinear(s, s) != Scalar((-1) ** ctx.dim_n):
-        return "ip(sigma, sigma) != (-1)^n"
-    return None
+_law("witt", "orientation pairing is (-1)^n", "ip(sigma, sigma) - sign", _draw(sign=_sign))
 
 
 @identity("witt", "orientation is invariant under basis change")
@@ -1166,14 +1078,8 @@ _law("ideals", "covector multivectors multiply by wedge alone", "u*v - u ^ v",
      _draw(u=_covector, v=_covector))
 
 
-@identity("ideals", "top blades: t* squares to zero, e_* ^ t* is the orientation", per_trial=False)
-def _ideal_top_blades(ctx, rng):
-    ts = ctx.theta_star()
-    if not gp(ts, ts).is_zero():
-        return "theta* * theta* != 0"
-    if wedge(ctx.e_star(), ts) != ctx.orientation():
-        return "e_* ^ theta* != sigma"
-    return None
+_law("ideals", "top blades: t* squares to zero, e_* ^ t* is the orientation",
+     "T*T + (E ^ T - sigma)", _ET)
 
 
 # -- the runner -------------------------------------------------------------------------

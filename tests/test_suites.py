@@ -165,26 +165,35 @@ def test_law_texts_name_exactly_their_operands():
         assert not any(re.fullmatch(r"[ets][1-9][0-9]*", a) for a in named | set(operands)), law.name
 
 
-def test_mutated_law_fails_with_a_replayable_line(monkeypatch):
+@pytest.mark.parametrize("text, mutated", [
+    ("(u*v)*w - u*(v*w)", "(u*v)*w + u*(v*w)"),
+    ("T*T + (E ^ T - sigma)", "T*T + (E ^ T + sigma)"),  # constant operands E, T
+    ("sigma*sigma - 1", "sigma*sigma + 1"),  # no operands: the line is the text alone
+], ids=["associativity", "top-blades", "sigma-square"])
+def test_mutated_law_fails_with_a_replayable_line(monkeypatch, text, mutated):
+    import random
+
     import hyclif.suites as suites
     from hyclif.exprparse import evaluate, parse
     from hyclif.multivector import AlgebraContext
 
-    law = next(i for i in _laws() if i.text == "(u*v)*w - u*(v*w)")
-    mutated = "(u*v)*w + u*(v*w)"
+    law = next(i for i in _laws() if i.text == text)
     monkeypatch.setattr(law, "text", mutated)
-    report = suites.run_suite("products", 2, trials=5, seed=1)
+    report = suites.run_suite(law.suite, 2, trials=5, seed=1)
     failed = [line for line in report.lines if line.startswith("FAIL")]
-    prefix = f"FAIL products: {law.name}: {mutated} with "
+    prefix = f"FAIL {law.suite}: {law.name}: {mutated}"
     assert report.failures == 1 and len(failed) == 1 and failed[0].startswith(prefix)
 
     # replay: each printed binding name=(value) parses back, and the printed
     # text on those values is the nonzero counterexample
     ctx = AlgebraContext(2)
+    names = set(law.draw(ctx, random.Random(0)))
+    tail = failed[0][len(prefix):]
+    assert tail.startswith(" with ") if names else tail == ""
     env = {}
-    for binding in failed[0][len(prefix):].split("; "):
+    for binding in tail[len(" with "):].split("; ") if names else ():
         name, value = binding.split("=", 1)
         assert value.startswith("(") and value.endswith(")")
         env[name] = evaluate(parse(value[1:-1], ctx), ctx)
-    assert set(env) == {"u", "v", "w"}
+    assert set(env) == names
     assert evaluate(parse(mutated, ctx, env), ctx, env)
