@@ -5,11 +5,12 @@ action reproduces the neutral quadratic form exactly, so it extends to an
 algebra map onto End(/\\V).  Each generator acts as a creation or
 annihilation operator (e_i -> sqrt2 e_i ^, t_i -> sqrt2 t_i _|), so a blade
 maps each subset vector e_s to one signed, sqrt2-scaled subset vector or to
-zero, read in closed form off the two masks.  Dense matrices are built only
-for FockMatrix output; the End isomorphism rank reduces sparse rows read off
-the same closed form.  The module also checks the doubled-space dimension
-count and the graded tensor split Cl(H_V) = Cl(V,b) (x) Cl(V,-b) for an
-arbitrary exact nondegenerate symmetric b.  The split is realized inside the
+zero, read in closed form off the two masks; this module alone holds that
+sign rule.  A FockMatrix keeps the sparse rows of those entries, its products
+and its rank stay sparse, and the dense (grade, lex) matrix is built only for
+output.  The module also checks the doubled-space dimension count and the
+graded tensor split Cl(H_V) = Cl(V,b) (x) Cl(V,-b) for an arbitrary exact
+nondegenerate symmetric b.  The split is realized inside the
 algebra itself: the vecfors f_i = (e_i + sum_k b_ik t_k)/sqrt2 and
 g_i = (e_i - sum_k b_ik t_k)/sqrt2 generate the two factors, and their
 products are the algebra's own gp, so no second Clifford algebra is built.
@@ -17,8 +18,7 @@ products are the algebra's own gp, so no second Clifford algebra is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import linalg
 from .hyperspace import (
@@ -29,7 +29,7 @@ from .hyperspace import (
     witt_basis,
 )
 from .multivector import AlgebraContext, Multivector, _odd_swaps, gp
-from .scalar import INV_SQRT2, ONE, SQRT2, Scalar
+from .scalar import INV_SQRT2, ONE, SQRT2, ZERO, Scalar
 
 MAX_SPAN_DIM = 6  # largest n for the suites and the exact spans; a resource bound set by the End iso rank over 4^n blades
 
@@ -39,34 +39,54 @@ def fock_basis(n: int) -> list[int]:
     return sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
 
 
-@dataclass(frozen=True)
 class FockMatrix:
-    """Exact endomorphism of /\\V in the (grade, lex) subset basis."""
+    """Exact endomorphism of /\\V: sparse rows {s2: {s: v}} over subset masks.
 
-    context: AlgebraContext
-    entries: tuple[tuple[Scalar, ...], ...]
+    Built from (s2, s, v) entries, summed, keeping only the nonzero ones, so
+    two matrices are equal when their rows are.  entries, rows(), to_json()
+    and str() give the dense form in the (grade, lex) subset basis.
+    """
 
-    def __post_init__(self):
-        side = 1 << self.context.dim_n
-        rows = tuple(tuple(r) for r in self.entries)
-        object.__setattr__(self, "entries", rows)
-        if len(rows) != side or any(len(r) != side for r in rows):
-            raise ValueError(f"expected a {side}x{side} matrix")
+    def __init__(self, context: AlgebraContext, entries: Iterable[tuple[int, int, Scalar]]):
+        side = 1 << context.dim_n
+        sparse: dict[int, linalg.SparseRow] = {}
+        for s2, s, v in entries:
+            if not (0 <= s2 < side and 0 <= s < side):
+                raise ValueError(f"entry ({s2}, {s}) lies outside the {side}x{side} Fock matrix")
+            row = sparse.setdefault(s2, {})
+            row[s] = row[s] + v if s in row else v
+        self.context = context
+        self.sparse = {s2: r for s2, row in sparse.items() if (r := {s: v for s, v in row.items() if v})}
 
     @property
-    def side(self) -> int:
-        return 1 << self.context.dim_n
+    def entries(self) -> tuple[tuple[Scalar, ...], ...]:
+        basis = fock_basis(self.context.dim_n)
+        return tuple(tuple(self.sparse.get(s2, {}).get(s, ZERO) for s in basis) for s2 in basis)
 
     def rows(self) -> linalg.Matrix:
         return [list(r) for r in self.entries]
 
+    def rank(self) -> int:
+        """Exact rank, by linalg's sparse elimination of the rows."""
+        reduced: dict[int, linalg.SparseRow] = {}
+        for row in self.sparse.values():
+            linalg.sparse_insert(reduced, row)
+        return len(reduced)
+
     def __mul__(self, other: FockMatrix) -> FockMatrix:
-        return FockMatrix(self.context, linalg.mat_mul(self.rows(), other.rows()))
+        """self after other: entry (s2, s) sums self (s2, k) other (k, s) over k."""
+        right = other.sparse
+        return FockMatrix(self.context, (
+            (s2, s, a * b)
+            for s2, row in self.sparse.items()
+            for k, a in row.items()
+            for s, b in right.get(k, {}).items()
+        ))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FockMatrix):
             return NotImplemented
-        return self.context is other.context and self.entries == other.entries
+        return self.context is other.context and self.sparse == other.sparse
 
     def to_json(self) -> dict:
         ctx = self.context
@@ -120,15 +140,6 @@ def _rep_entries(terms: dict[int, Scalar], n: int) -> Iterator[tuple[int, int, S
                 yield s2, s, -v if odd else v
 
 
-def _rep_rows(terms: dict[int, Scalar], n: int) -> linalg.Matrix:
-    """Dense matrix of the sum of c * blade over terms, in the (grade, lex) basis."""
-    index = {m: i for i, m in enumerate(fock_basis(n))}
-    rows = linalg.zeros(len(index), len(index))
-    for s2, s, v in _rep_entries(terms, n):
-        rows[index[s2]][index[s]] += v
-    return rows
-
-
 def clifford_map_matrix(ctx: AlgebraContext, x: Vecfor) -> FockMatrix:
     """Clifford map u -> sqrt2 (x_form _| u + x_vec ^ u); squares to <x,x> times the identity."""
     if x.context is not ctx:
@@ -138,7 +149,7 @@ def clifford_map_matrix(ctx: AlgebraContext, x: Vecfor) -> FockMatrix:
 
 def rep(u: Multivector) -> FockMatrix:
     """Algebra map into End(/\\V): rep(uv) = rep(u) rep(v), rep(1) = identity."""
-    return FockMatrix(u.context, _rep_rows(u.terms, u.context.dim_n))
+    return FockMatrix(u.context, _rep_entries(u.terms, u.context.dim_n))
 
 
 def verify_end_iso(n: int) -> dict:

@@ -2,14 +2,15 @@
 
 Left-multiplying the algebra onto theta* = t1^...^tn produces a 2^n-dimensional
 minimal left ideal; the map m(u) = u * theta* identifies it with /\\V as a
-module, with vecfors acting by u -> x_vec ^ u + 2 (x_form _| u).  Ideal bases
+module, with vecfors acting by u -> x_vec ^ u + 2 (x_form _| u), and
+conjugating that action by sqrt2^grade gives the Fock action.  Ideal bases
 are unique reduced row echelon forms (RREF) in blade-mask order, from linalg's
 sparse elimination.  Minimality is certified, not sampled: the Fock
 representation is an isomorphism Cl(H_V) = End(/\\V), under which Cl * g is
 the set of matrices whose rows lie in the row space of rep(g), so
-dim Cl * g = 2^n rank rep(g) and Cl * g is minimal iff rank rep(g) = 1.
-Spinors are elements supported on t-generators only, stored by
-strictly-increasing indices.
+dim Cl * g = 2^n rank rep(g) and Cl * g is minimal iff rank rep(g) = 1,
+read off the sparse rows of rep(g).  Spinors are elements supported on
+t-generators only, stored by strictly-increasing indices.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import linalg
-from .fock import FockMatrix, _fock_term, fock_basis, rep
+from .fock import FockMatrix, rep
 from .hyperspace import Vecfor
-from .multivector import AlgebraContext, Multivector, gp
+from .multivector import AlgebraContext, Multivector, gp, lcontract, wedge
 from .scalar import SQRT2, ZERO, Scalar
 
 
@@ -70,7 +71,7 @@ def minimality_check(g: Multivector) -> bool:
     """
     if g.is_zero():
         raise ValueError("zero generator spans the zero ideal")
-    return linalg.rank(rep(g).rows()) == 1
+    return rep(g).rank() == 1
 
 
 # -- the Fock-module structure of the ideal -------------------------------------
@@ -105,38 +106,25 @@ def module_action(x: Vecfor, u: Multivector) -> Multivector:
 
 
 def module_action_formula(x: Vecfor, u: Multivector) -> Multivector:
-    """The closed form x_vec ^ u + 2 (x_form _| u) of the ideal action.
-
-    It is the Fock action conjugated by sqrt2^grade: a blade sending e_s to
-    (-1)^odd sqrt2^k e_s2 there sends it to (-1)^odd sqrt2^(k + |s| - |s2|) e_s2.
-    """
+    """The closed form x_vec ^ u + 2 (x_form _| u) of the ideal action, from
+    the blade products alone."""
     ctx = u.context
-    n = ctx.dim_n
     if not u.supported_on(ctx.e_star_mask):
         raise ValueError("module_action_formula expects support on e-generators only")
-    out: dict[int, Scalar] = {}
-    for a, c in x.to_multivector().terms.items():
-        for s, d in u.terms.items():
-            term = _fock_term(a, s, n)
-            if term is not None:
-                s2, odd, k = term
-                v = c * d * SQRT2 ** (k + s.bit_count() - s2.bit_count())
-                out[s2] = out.get(s2, ZERO) + (-v if odd else v)
-    return Multivector(ctx, out)
+    n = ctx.dim_n
+    x_vec = Multivector(ctx, {1 << k: c for k, c in enumerate(x.vec)})
+    x_form = Multivector(ctx, {1 << (n + k): c for k, c in enumerate(x.form)})
+    return wedge(x_vec, u) + lcontract(x_form, u).scale(2)
 
 
 def conjugated_module_action(ctx: AlgebraContext, x: Vecfor) -> FockMatrix:
     """Grade-scaling conjugate D M D^-1 of the matrix M of u -> m^-1(x * m(u))
-    on the (grade, lex) subset basis of /\\V, with D = sqrt2^grade; equals the
-    Clifford map."""
-    basis = fock_basis(ctx.dim_n)
-    index = {m: i for i, m in enumerate(basis)}
-    side = len(basis)
-    rows = [[ZERO] * side for _ in range(side)]
-    for j, mask in enumerate(basis):
-        for m, c in module_action(x, ctx.blade(mask)).terms.items():
-            rows[index[m]][j] = c * SQRT2 ** (m.bit_count() - mask.bit_count())
-    return FockMatrix(ctx, rows)
+    on the subset basis of /\\V, with D = sqrt2^grade; equals the Clifford map."""
+    return FockMatrix(ctx, (
+        (m, s, c * SQRT2 ** (m.bit_count() - s.bit_count()))
+        for s in range(1 << ctx.dim_n)
+        for m, c in module_action(x, ctx.blade(s)).terms.items()
+    ))
 
 
 # -- spinor component storage -----------------------------------------------------

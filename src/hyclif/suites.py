@@ -1027,7 +1027,7 @@ def _ideal_minimality(ctx, rng):
     while g.is_zero():
         for _ in range(2):
             g = g + gp(gp(random_multivector(ctx, rng), ctx.theta_star()), random_multivector(ctx, rng))
-    if ideal_span(g).dim != (1 << ctx.dim_n) * linalg.rank(rep(g).rows()):
+    if ideal_span(g).dim != (1 << ctx.dim_n) * rep(g).rank():
         return _fail("dim Cl*g != 2^n rank rep(g)", g=g)
     return None
 

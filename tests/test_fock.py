@@ -1,7 +1,12 @@
+import json
+from fractions import Fraction
+
 import pytest
 from test_linalg import dense_rank
 
+from hyclif import linalg
 from hyclif.fock import (
+    FockMatrix,
     clifford_map_matrix,
     even_odd_block_structure,
     fock_basis,
@@ -124,3 +129,82 @@ def test_tensor_split_rejects_singular(ctx1):
 def test_fock_matrix_exports(ctx1):
     payload = rep(ctx1.scalar(1)).to_json()
     assert payload["dim"] == 1 and payload["basis"] == ["1", "e1"]
+
+
+def _n2_pinned(ctx2):
+    # 1 + 2e1 + (-3+r2)*e1^t2 + 1/2 r2 t1^t2 and 5e1^e2 - 2/3 e2^t1 + (1-r2)*e1^e2^t1^t2
+    u = (ctx2.scalar(1) + ctx2.blade(0b0001, Scalar(2)) + ctx2.blade(0b1001, Scalar(-3, 1))
+         + ctx2.blade(0b1100, Scalar(0, Fraction(1, 2))))
+    v = ctx2.blade(0b0011, Scalar(5)) + ctx2.blade(0b0110, Scalar(Fraction(-2, 3))) + ctx2.blade(0b1111, Scalar(1, -1))
+    return u, v
+
+
+def _cell(rat, r2="0"):
+    return {"rat": rat, "rat_r2": r2}
+
+
+def test_fock_matrix_output_is_pinned(ctx2):
+    # the dense (grade, lex) output of the sparse operator: these bytes are the contract
+    u, v = _n2_pinned(ctx2)
+    z = _cell("0")
+    basis = ["1", "e1", "e2", "e1^e2"]
+    assert json.dumps(rep(u).to_json()) == json.dumps({"dim": 2, "basis": basis, "entries": [
+        [_cell("1"), z, z, _cell("0", "-1")],
+        [_cell("0", "2"), _cell("1"), _cell("-6", "2"), z],
+        [z, z, _cell("1"), z],
+        [z, z, _cell("0", "2"), _cell("1")],
+    ]})
+    assert str(rep(u)) == (
+        "[    1  0        0  -r2 ]\n"
+        "[ 2 r2  1  -6+2 r2    0 ]\n"
+        "[    0  0        1    0 ]\n"
+        "[    0  0     2 r2    1 ]"
+    )
+    assert json.dumps(rep(v).to_json()) == json.dumps({"dim": 2, "basis": basis, "entries": [
+        [_cell("-1", "1"), z, z, z],
+        [z, _cell("1", "-1"), z, z],
+        [z, _cell("-4/3"), _cell("1", "-1"), z],
+        [_cell("10"), z, z, _cell("-1", "1")],
+    ]})
+    assert str(rep(v)) == (
+        "[ -1+r2     0     0      0 ]\n"
+        "[     0  1-r2     0      0 ]\n"
+        "[     0  -4/3  1-r2      0 ]\n"
+        "[    10     0     0  -1+r2 ]"
+    )
+
+
+def _entries(m):
+    return [(s2, s, v) for s2, row in m.sparse.items() for s, v in row.items()]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sparse_product_and_rank_match_dense_oracles(n, rng):
+    ctx = AlgebraContext(n)
+    theta = ctx.theta_star()
+    for _ in range(4):
+        u, v = random_multivector(ctx, rng), random_multivector(ctx, rng)
+        mu, mv = rep(u), rep(v)
+        assert [list(r) for r in (mu * mv).entries] == linalg.mat_mul(mu.rows(), mv.rows())
+        # a general element, and the low-rank u theta* v and u theta* v + v theta* u
+        for g in (u, gp(gp(u, theta), v), gp(gp(u, theta), v) + gp(gp(v, theta), u)):
+            assert rep(g).rank() == dense_rank(rep(g).rows())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fock_matrix_sums_entries_and_keeps_no_zeros(n, rng):
+    ctx = AlgebraContext(n)
+    assert rep(ctx.zero()).sparse == {}
+    for _ in range(4):
+        u, v = random_multivector(ctx, rng), random_multivector(ctx, rng)
+        assert rep(u + v - v) == rep(u)
+        assert FockMatrix(ctx, _entries(rep(u)) + _entries(rep(v))) == rep(u + v)
+        cancelled = FockMatrix(ctx, _entries(rep(u)) + _entries(rep(v)) + _entries(rep(-v)))
+        assert cancelled.sparse == rep(u).sparse
+        assert all(row and all(row.values()) for row in cancelled.sparse.values())
+
+
+def test_fock_matrix_rejects_entries_outside_the_basis(ctx2):
+    for s2, s in ((4, 0), (0, 4), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="outside the 4x4 Fock matrix"):
+            FockMatrix(ctx2, [(0, 0, ONE), (s2, s, ONE)])

@@ -1,8 +1,9 @@
 """Mutant catalogue: each plants one fault in a kernel, and the suites must catch it.
 
 A mutant monkeypatches a name that the library looks up at call time: a row
-kernel or `_witt_factors` in `multivector`, `fock._fock_term`, the reversion
-sign, `Scalar._make`, or the `!!` entry of `exprparse._UNARY_FNS`.  The last
+kernel or `_witt_factors` in `multivector`, `fock._fock_term`, the sparse
+`FockMatrix` constructor, product or rank, the reversion sign,
+`Scalar._make`, or the `!!` entry of `exprparse._UNARY_FNS`.  The last
 one is the inverse Hodge dual as the laws see it: `exprparse` binds
 `hodge_inv` by value, so patching `multivector.hodge_inv` reaches no suite.
 Its mutant drops the reversion of the orientation, which is the identity at
@@ -59,6 +60,21 @@ def _fock_term_pair_sign(a, s, n):
     return s2, odd ^ 1, k
 
 
+def _fock_matrix_last_entry_wins(self, context, entries):
+    """Keeps the last entry at each (s2, s) in place of the sum of them all."""
+    _FOCK_INIT(self, context, [(s2, s, v) for (s2, s), v in {(s2, s): v for s2, s, v in entries}.items()])
+
+
+def _fock_matrix_mul_reversed(self, other):
+    """Composes in the wrong order: other after self."""
+    return _FOCK_MUL(other, self)
+
+
+def _fock_matrix_rank_counts_rows(self):
+    """Counts the stored rows in place of eliminating them."""
+    return len(self.sparse)
+
+
 def _reversion_off_by_one(self):
     """The conjugation's sign (-1)^(r(r+1)/2) in place of (-1)^(r(r-1)/2)."""
     return self._signed(lambda r: -1 if (r * (r + 1) // 2) & 1 else 1)
@@ -82,6 +98,7 @@ def _make_without_gcd(cls, p, q, r):
 
 _WITT_FACTORS, _PRODUCT_ROW = mv._witt_factors, mv._product_row
 _LEFT_ROW, _WEDGE_ROW, _FOCK_TERM = mv._left_row, mv._wedge_row, fock._fock_term
+_FOCK_INIT, _FOCK_MUL = fock.FockMatrix.__init__, fock.FockMatrix.__mul__
 
 # (id, owner, attribute or key, mutant)
 MUTANTS = [
@@ -91,6 +108,9 @@ MUTANTS = [
     ("right_row", mv, "_right_row", mv._left_row),  # the mirror kernel's reject test
     ("wedge_row", mv, "_wedge_row", _wedge_row_commutative),
     ("fock_term", fock, "_fock_term", _fock_term_pair_sign),
+    ("fock_matrix_init", fock.FockMatrix, "__init__", _fock_matrix_last_entry_wins),
+    ("fock_matrix_mul", fock.FockMatrix, "__mul__", _fock_matrix_mul_reversed),
+    ("fock_matrix_rank", fock.FockMatrix, "rank", _fock_matrix_rank_counts_rows),
     ("reversion", mv.Multivector, "reversion", _reversion_off_by_one),
     ("scalar_make", Scalar, "_make", classmethod(_make_without_gcd)),
     ("hodge_inv", exprparse._UNARY_FNS, "!!", _hodge_inv_unreversed),
