@@ -12,7 +12,7 @@ import re
 import sys
 from typing import Sequence, TextIO
 
-from .exprparse import RESERVED, ParseError, eval_source
+from .exprparse import GENERATOR, RESERVED, eval_source
 from .multivector import MAX_DIM, AlgebraContext, Multivector
 
 EXIT_OK = 0
@@ -70,7 +70,7 @@ def _cmd_eval(args) -> int:
     ctx = AlgebraContext(args.dim)
     try:
         value = eval_source(args.expr, ctx)
-    except (ParseError, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # a ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVAL
     if args.json:
@@ -102,7 +102,6 @@ def _cmd_table(args, parser) -> int:
 
 
 _LET = re.compile(r":let\s+([A-Za-z][A-Za-z0-9]*)\s*=\s*(.+)\Z", re.DOTALL)
-_GENERATOR_NAME = re.compile(r"[ets][1-9][0-9]*\Z")
 
 
 def _cmd_repl(args, stdin: TextIO | None = None, stdout: TextIO | None = None) -> int:
@@ -134,12 +133,12 @@ def repl(ctx: AlgebraContext, stdin: TextIO, stdout: TextIO) -> int:
                 print("error: usage :let name = expr", file=stdout)
                 continue
             name, src = m.group(1), m.group(2)
-            if name in RESERVED or _GENERATOR_NAME.match(name):
+            if name in RESERVED or GENERATOR.match(name):
                 print(f"error: {name!r} is reserved", file=stdout)
                 continue
             try:
                 env[name] = eval_source(src, ctx, env)
-            except (ParseError, ValueError, ZeroDivisionError) as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 print(f"error: {exc}", file=stdout)
             continue
         if line.startswith(":"):
@@ -147,7 +146,7 @@ def repl(ctx: AlgebraContext, stdin: TextIO, stdout: TextIO) -> int:
             continue
         try:
             print(eval_source(line, ctx, env), file=stdout)
-        except (ParseError, ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             print(f"error: {exc}", file=stdout)
 
 

@@ -12,9 +12,9 @@ from fractions import Fraction
 from typing import ClassVar, Sequence
 
 from . import linalg
-from .hyperspace import Subspace, Vecfor, _scalars, span
+from .hyperspace import Subspace, Vecfor, _scalars, sigma_basis, span
 from .multivector import AlgebraContext
-from .scalar import INV_SQRT2, ONE, ZERO, Scalar
+from .scalar import ONE, ZERO, Scalar
 
 ScalarLike = Scalar | int | Fraction
 
@@ -188,14 +188,7 @@ def reflection(x: Vecfor) -> HEndo:
 
 def witt_to_sigma_matrix(ctx: AlgebraContext) -> linalg.Matrix:
     """Columns are the sigma basis vectors in Witt coordinates."""
-    n = ctx.dim_n
-    m = linalg.zeros(2 * n, 2 * n)
-    for k in range(n):
-        m[k][k] = INV_SQRT2
-        m[n + k][k] = INV_SQRT2
-        m[k][n + k] = -INV_SQRT2
-        m[n + k][n + k] = INV_SQRT2
-    return m
+    return linalg.transpose([s.vec + s.form for s in sigma_basis(ctx)])
 
 
 def endo_matrix_sigma(f: HEndo) -> linalg.Matrix:

@@ -11,6 +11,8 @@ Grammar, loosest to tightest binding:
 
 One operator table, `_LEVEL`, holds the four binary levels: the parser reads
 them in one precedence loop, and `unparse` reads them to place parentheses.
+One call table, `_CALLS`, holds each call's arity and value; `!` and `!!`
+share the entries of `dual` and `idual`.
 
 Atoms are e1..en, t1..tn, s1..s2n (orthonormal basis vectors), `sigma` (the
 orientation element), and REPL-bound names.  Literals are nonnegative
@@ -28,20 +30,9 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from . import multivector as _mv
 from .hyperspace import sigma_vector
-from .multivector import (
-    AlgebraContext,
-    Multivector,
-    _owned,
-    _require_same_context,
-    bilinear,
-    gp,
-    hodge,
-    hodge_inv,
-    lcontract,
-    rcontract,
-    wedge,
-)
+from .multivector import AlgebraContext, Multivector, _owned, _require_same_context
 from .scalar import Scalar, format_scalar
 
 
@@ -119,10 +110,8 @@ class Call:
 
 Expr = Lit | Atom | Unary | Binary | Call
 
-FUNCTIONS = ("ip", "grade", "even", "odd", "dual", "idual")
-RESERVED = FUNCTIONS + ("sigma", "r2")
-
-_GENERATOR = re.compile(r"([ets])([1-9][0-9]*)\Z")
+# The generator atoms e<k>, t<k>, s<k>; the REPL reserves these names at any k.
+GENERATOR = re.compile(r"([ets])([1-9][0-9]*)\Z")
 
 # The language is ASCII.  One match is the blanks before a token and then the
 # token: one alternative per kind, in this order, then end of input and last
@@ -236,7 +225,7 @@ class _Parser:
         kind = tok.kind
         if kind == "NAME":
             self.pos += 1
-            if tok.text in FUNCTIONS:
+            if tok.text in _CALLS:
                 return self._parse_call(tok)
             return self._atom(tok)
         if kind == "NUM":
@@ -269,25 +258,27 @@ class _Parser:
 
     def _maybe_juxtapose(self, lit: Lit) -> Expr:
         tok = self.tokens[self.pos]
-        if tok.kind == "NAME" and tok.text not in FUNCTIONS:
+        if tok.kind == "NAME" and tok.text not in _CALLS:
             self.pos += 1
             return Binary("*", lit, self._atom(tok))
         return lit
 
     def _atom(self, tok: _Token) -> Atom:
+        """A bound name, or an atom whose value this parse puts in ctx.atoms."""
         name = tok.text
-        if name == "sigma" or name in self.names:
+        atoms = self.ctx.atoms
+        if name in self.names or name in atoms:
             return Atom(name)
-        m = _GENERATOR.match(name)
-        if m:
-            kind, num = m.group(1), int(m.group(2))
-            bound = 2 * self.ctx.dim_n if kind == "s" else self.ctx.dim_n
-            if num > bound:
-                raise ParseError(
-                    f"index out of range: {name} (dim {self.ctx.dim_n})", tok.line, tok.col
-                )
-            return Atom(name)
-        raise ParseError(f"unknown atom {name!r}", tok.line, tok.col)
+        try:
+            value = _atom_definition(name, self.ctx)
+        except ValueError:
+            raise ParseError(
+                f"index out of range: {name} (dim {self.ctx.dim_n})", tok.line, tok.col
+            ) from None
+        if value is None:
+            raise ParseError(f"unknown atom {name!r}", tok.line, tok.col)
+        atoms[name] = value
+        return Atom(name)
 
     def _parse_call(self, tok: _Token) -> Call:
         fn = tok.text
@@ -304,7 +295,7 @@ class _Parser:
         finally:
             self.depth -= 1
         self._close()
-        arity = 2 if fn in ("ip", "grade") else 1
+        arity = _CALLS[fn][0]
         if len(args) != arity:
             raise ParseError(f"{fn} takes {arity} argument(s)", tok.line, tok.col)
         return Call(fn, tuple(args))
@@ -322,21 +313,39 @@ def parse(src: str, ctx: AlgebraContext, names: Iterable[str] = ()) -> Expr:
 
 # -- evaluation --------------------------------------------------------------------
 
+
+def _grade(u: Multivector, r: Multivector) -> Multivector:
+    val = r.scalar_part()
+    if set(r.terms) - {0} or val.q or val.r != 1:
+        raise ValueError("grade selector must be an integer")
+    return u.grade_part(val.p)
+
+
+# Every call of the language: its arity and its value on the evaluated
+# arguments.  The multivector kernels are looked up on their module when
+# called, so a kernel replaced there reaches every law.
+_CALLS = {
+    "ip": (2, lambda u, v: u.context.scalar(_mv.bilinear(u, v))),
+    "grade": (2, _grade),
+    "even": (1, lambda u: u.even_part()),
+    "odd": (1, lambda u: u.odd_part()),
+    "dual": (1, lambda u: _mv.hodge(u)),
+    "idual": (1, lambda u: _mv.hodge_inv(u)),
+}
+FUNCTIONS = tuple(_CALLS)
+RESERVED = FUNCTIONS + ("sigma", "r2")
+
 _UNARY_FNS = {
     "neg": lambda u: -u,
     "~": lambda u: u.reversion(),
     "'": lambda u: u.grade_involution(),
     "!c": lambda u: u.conjugation(),
-    "!": hodge,
-    "!!": hodge_inv,
+    "!": _CALLS["dual"][1],
+    "!!": _CALLS["idual"][1],
 }
 
-_BINARY_FNS = {  # the products; evaluate sums + and - in place
-    "*": gp,
-    "^": wedge,
-    "_|": lcontract,
-    "|_": rcontract,
-}
+# the products, by their names in multivector; evaluate sums + and - in place
+_PRODUCTS = {"*": "gp", "^": "wedge", "_|": "lcontract", "|_": "rcontract"}
 
 
 def evaluate(
@@ -358,7 +367,7 @@ def evaluate(
         acc = None
         for b in reversed(spine):
             right = evaluate(b.right, ctx, env)
-            product = _BINARY_FNS.get(b.op)
+            product = _PRODUCTS.get(b.op)
             if product is not None:
                 if acc is not None:
                     value, acc = _owned(value.context, acc), None
@@ -370,7 +379,7 @@ def evaluate(
                     else:
                         value = right.scale(b.left.value)
                 else:
-                    value = product(value, right)
+                    value = getattr(_mv, product)(value, right)
                 continue
             _require_same_context(value, right)
             if acc is None:
@@ -392,25 +401,7 @@ def evaluate(
     if isinstance(node, Unary):
         return _UNARY_FNS[node.op](evaluate(node.arg, ctx, env))
     if isinstance(node, Call):
-        args = [evaluate(a, ctx, env) for a in node.args]
-        if node.fn == "ip":
-            return ctx.scalar(bilinear(args[0], args[1]))
-        if node.fn == "grade":
-            r = args[1]
-            val = r.scalar_part()
-            if r.terms and (set(r.terms) != {0}):
-                raise ValueError("grade selector must be an integer")
-            if val.q or val.r != 1:
-                raise ValueError("grade selector must be an integer")
-            return args[0].grade_part(val.p)
-        if node.fn == "even":
-            return args[0].even_part()
-        if node.fn == "odd":
-            return args[0].odd_part()
-        if node.fn == "dual":
-            return hodge(args[0])
-        if node.fn == "idual":
-            return hodge_inv(args[0])
+        return _CALLS[node.fn][1](*[evaluate(a, ctx, env) for a in node.args])
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -420,16 +411,24 @@ def _atom_value(name: str, ctx: AlgebraContext, env: Mapping[str, Multivector]) 
         return env[name]
     value = ctx.atoms.get(name)
     if value is None:
-        value = ctx.atoms[name] = _atom_definition(name, ctx)
+        value = _atom_definition(name, ctx)
+        if value is None:
+            raise ValueError(f"unknown atom {name!r}")
+        ctx.atoms[name] = value
     return value
 
 
-def _atom_definition(name: str, ctx: AlgebraContext) -> Multivector:
+def _atom_definition(name: str, ctx: AlgebraContext) -> Multivector | None:
+    """The value of sigma or a generator atom, else None.
+
+    An index out of range raises the ValueError of the constructor, which
+    alone decides the bound.
+    """
     if name == "sigma":
         return ctx.orientation()
-    m = _GENERATOR.match(name)
+    m = GENERATOR.match(name)
     if m is None:
-        raise ValueError(f"unknown atom {name!r}")
+        return None
     kind, num = m.group(1), int(m.group(2))
     if kind == "e":
         return ctx.e(num)
@@ -449,8 +448,6 @@ def eval_source(
 # binary operators take their levels from the parser's _LEVEL
 _UNARY_LEVEL = 5
 _PRIMARY_LEVEL = 6
-
-_UNARY_GLYPH = {"neg": "-", "~": "~", "'": "'", "!c": "!c", "!": "!", "!!": "!!"}
 
 
 def _lit_level(value: Scalar) -> int:
@@ -475,8 +472,8 @@ def _unparse(node: Expr) -> tuple[str, int]:
         # parenthesize nested unaries too: "!" + "!u" would lex as "!!u"
         if lvl <= _UNARY_LEVEL:
             body = f"({body})"
-        glyph = _UNARY_GLYPH[node.op]
-        space = " " if glyph in ("!c",) else ""
+        glyph = "-" if node.op == "neg" else node.op  # the parser's token text
+        space = " " if glyph == "!c" else ""
         return f"{glyph}{space}{body}", _UNARY_LEVEL
     if isinstance(node, Binary):
         spine = []  # the left spine, walked in a loop as in evaluate

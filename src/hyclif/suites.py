@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from . import linalg
+from . import linalg, multivector
 from .endo import (
     LinMapV,
     NullVecforError,
@@ -77,7 +77,6 @@ from .multivector import (
     Multivector,
     bilinear,
     gp,
-    hodge,
     poincare_iso,
     wedge,
 )
@@ -551,7 +550,7 @@ def _hodge_grade(ctx, rng):
     u = random_multivector(ctx, rng)
     m = 2 * ctx.dim_n
     for r in range(m + 1):
-        part = hodge(u.grade_part(r))
+        part = multivector.hodge(u.grade_part(r))
         if part.grades() - {m - r}:
             return _fail(f"grade(!grade(u,{r})) != {m - r}", u=u)
     return None
@@ -566,10 +565,10 @@ _law("hodge", "vecfor dual: !x = (x_form _| e_*) ^ theta* - e_* ^ (theta* |_ x_v
 def _hodge_poincare(ctx, rng):
     u_form = random_multivector(ctx, rng, support_mask=ctx.theta_star_mask)
     u_vec = random_multivector(ctx, rng, support_mask=ctx.e_star_mask)
-    d1 = hodge(u_form) - wedge(poincare_iso(u_form, "sharp_down"), ctx.theta_star())
-    d2 = hodge(u_vec) - wedge(ctx.e_star(), poincare_iso(u_vec, "sharp_up"))
+    d1 = multivector.hodge(u_form) - wedge(poincare_iso(u_form, "sharp_down"), ctx.theta_star())
+    d2 = multivector.hodge(u_vec) - wedge(ctx.e_star(), poincare_iso(u_vec, "sharp_up"))
     mixed = wedge(u_vec, u_form)
-    d3 = hodge(mixed) - wedge(
+    d3 = multivector.hodge(mixed) - wedge(
         poincare_iso(u_form, "sharp_down"), poincare_iso(u_vec, "sharp_up")
     )
     return _expect_zero(d1 + d2 + d3, "!u against its half-space factorizations", a=u_vec, b=u_form)

@@ -165,6 +165,15 @@ def test_repl_session():
     assert lines[6].startswith("error: unknown command")
 
 
+def test_repl_reserves_generator_names_at_every_index():
+    # e<k>, t<k> and s<k> are reserved in :let whether or not k is in range
+    names = ("e9", "t4", "s7", "ip", "r2")
+    stdin = io.StringIO("".join(f":let {name} = 1\n" for name in names))
+    stdout = io.StringIO()
+    assert repl(AlgebraContext(3), stdin, stdout) == EXIT_OK
+    assert stdout.getvalue().splitlines() == [f"error: {name!r} is reserved" for name in names]
+
+
 def test_repl_long_flat_line_keeps_session():
     stdin = io.StringIO(" + ".join(["e1"] * 3000) + "\ne2\n")
     stdout = io.StringIO()

@@ -1,5 +1,7 @@
-"""What `import hyclif` and the CLI load: each probe runs in a fresh interpreter."""
+"""What `import hyclif` and the CLI load (each probe runs in a fresh interpreter), and
+what `exprparse` holds by value."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -109,3 +111,23 @@ def test_star_import_is_all_without_submodules():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         hyclif.no_such_name  # noqa: B018
+
+
+def test_exprparse_holds_no_multivector_kernel_by_value():
+    # the language looks each kernel up on its module when it calls it, so a
+    # kernel replaced on hyclif.multivector reaches every law
+    from hyclif import exprparse, multivector
+
+    kernels = {id(fn) for name, fn in vars(multivector).items()
+               if not name.startswith("_") and inspect.isfunction(fn)
+               and fn.__module__ == multivector.__name__}
+    assert kernels
+    held = []
+    for name, value in vars(exprparse).items():
+        values = [value]
+        if isinstance(value, dict):
+            values += [x for v in value.values() for x in (v if isinstance(v, tuple) else (v,))]
+        elif isinstance(value, tuple):
+            values += value
+        held += [name for v in values if id(v) in kernels]
+    assert held == []

@@ -3,14 +3,14 @@
 A mutant monkeypatches a name that the library looks up at call time: a row
 kernel or `_witt_factors` in `multivector`, `fock._fock_term`, the sparse
 `FockMatrix` constructor, product or rank, the reversion sign,
-`Scalar._make`, or the `!!` entry of `exprparse._UNARY_FNS`.  The last
-one is the inverse Hodge dual as the laws see it: `exprparse` binds
-`hodge_inv` by value, so patching `multivector.hodge_inv` reaches no suite.
-Its mutant drops the reversion of the orientation, which is the identity at
-n=2 (the sign of grade 4), so only n=3 catches it.  Under each one,
-`run_suite("all", n, trials=3, seed=42)` must return a report with at least
-one FAIL line at n=2 or n=3, and must not raise.  A later change that plants
-a new kind of kernel should add its mutants here.
+`Scalar._make`, or `multivector.hodge` and `multivector.hodge_inv`.  The
+expression language reaches the Hodge pair through the `multivector` module
+when it evaluates `!`, `!!`, `dual` and `idual`, so a patched kernel reaches
+every law.  The `hodge_inv` mutant drops the reversion of the orientation,
+which is the identity at n=2 (the sign of grade 4), so only n=3 catches it.
+Under each one, `run_suite("all", n, trials=3, seed=42)` must return a report
+with at least one FAIL line at n=2 or n=3, and must not raise.  A later
+change that plants a new kind of kernel should add its mutants here.
 
 What the suites cannot see: `_odd_swaps` without its `s ^= s >> 16` step
 changes only the masks of n >= 9 (bits 16 and up), so it passes every suite,
@@ -21,7 +21,7 @@ which stop at n=6.  Only the n=14 tests of tests/test_multivector.py
 
 import pytest
 
-from hyclif import exprparse, fock
+from hyclif import fock
 from hyclif import multivector as mv
 from hyclif.scalar import Scalar, _set_p, _set_q, _set_r
 from hyclif.suites import run_suite
@@ -80,6 +80,11 @@ def _reversion_off_by_one(self):
     return self._signed(lambda r: -1 if (r * (r + 1) // 2) & 1 else 1)
 
 
+def _hodge_unreversed(u):
+    """The Hodge dual contracted from u in place of ~u."""
+    return mv.lcontract(u, u.context.orientation())
+
+
 def _hodge_inv_unreversed(u):
     """The inverse Hodge dual against sigma in place of ~sigma."""
     return mv.rcontract(u.context.orientation(), u.reversion())
@@ -100,7 +105,7 @@ _WITT_FACTORS, _PRODUCT_ROW = mv._witt_factors, mv._product_row
 _LEFT_ROW, _WEDGE_ROW, _FOCK_TERM = mv._left_row, mv._wedge_row, fock._fock_term
 _FOCK_INIT, _FOCK_MUL = fock.FockMatrix.__init__, fock.FockMatrix.__mul__
 
-# (id, owner, attribute or key, mutant)
+# (id, owner, attribute, mutant)
 MUTANTS = [
     ("witt_factors", mv, "_witt_factors", _witt_factors_cross_pair_twice),
     ("product_row", mv, "_product_row", _product_row_first_term_only),
@@ -113,13 +118,14 @@ MUTANTS = [
     ("fock_matrix_rank", fock.FockMatrix, "rank", _fock_matrix_rank_counts_rows),
     ("reversion", mv.Multivector, "reversion", _reversion_off_by_one),
     ("scalar_make", Scalar, "_make", classmethod(_make_without_gcd)),
-    ("hodge_inv", exprparse._UNARY_FNS, "!!", _hodge_inv_unreversed),
+    ("hodge", mv, "hodge", _hodge_unreversed),
+    ("hodge_inv", mv, "hodge_inv", _hodge_inv_unreversed),
 ]
 
 
 @pytest.mark.parametrize("owner, attr, mutant", [m[1:] for m in MUTANTS], ids=[m[0] for m in MUTANTS])
 def test_suites_catch_mutant(monkeypatch, owner, attr, mutant):
-    (monkeypatch.setitem if isinstance(owner, dict) else monkeypatch.setattr)(owner, attr, mutant)
+    monkeypatch.setattr(owner, attr, mutant)
     fails = {}
     for n in (2, 3):
         report = run_suite("all", n, trials=3, seed=42)  # must not raise

@@ -187,6 +187,19 @@ def test_unparsed_atoms_outside_the_context_raise(ctx2, name):
     assert name not in ctx2.atoms
 
 
+def test_parse_keeps_only_valid_atoms():
+    # parsing stores each valid atom's value; the table never widens the bound
+    ctx = AlgebraContext(3)
+    parse("e1 + s6", ctx)
+    assert ctx.atoms.keys() == {"e1", "s6"}
+    for src, message in [("e4", "index out of range: e4 (dim 3)"),
+                         ("e0", "unknown atom 'e0'"), ("s01", "unknown atom 's01'")]:
+        with pytest.raises(ParseError) as err:
+            parse(src, ctx)
+        assert (err.value.message, err.value.line, err.value.col) == (message, 1, 1)
+    assert ctx.atoms.keys() == {"e1", "s6"}
+
+
 def test_atom_table_under_threads():
     # threads that race on an atom may build it twice, but each gets an
     # equal value of the shared context
