@@ -10,9 +10,10 @@ for each WORKLOAD:SEEDS argument (for example ``suites:200-209`` or
 side for the run length BENCHMARK.json sets, alternating which side goes
 first: the host's speed drifts between runs, so only such pairs give usable
 ratios.  It writes BENCH_<N>.json at the root of the repository: per workload
-and end-to-end metric, each side's median and IQR/median and the number of
-pairs the change won, with every run's values, the revisions, the Python
-version and the CPU count.  It prints the table too.
+and end-to-end metric, each side's median and IQR/median, the median of the
+per-pair change/parent ratios and their IQR/median, and the number of pairs
+the change won, with every run's values, the revisions, the Python version and
+the CPU count.  It prints the table too.
 
 The second form prints, per workload and metric, the ratio of the change's
 median in NEW.json to that in OLD.json.  Standard library only.
@@ -55,7 +56,10 @@ def summarize(runs: list[dict], metric: str, better: str) -> dict:
 
     Each run is {"parent": {metric: value, ...}, "change": {...}}; the change
     wins a pair when it is strictly better in the direction `better`, and ties
-    count for neither side.
+    count for neither side.  "paired_ratio" holds the median and IQR/median of
+    the per-pair change/parent ratios (pairs with a zero parent value left
+    out): both sides of a pair ran on the host as it was at that time, so these
+    ratios spread less than either side's own values when the host drifts.
     """
     values = {side: [run[side][metric] for run in runs] for side in SIDES}
     sign = 1 if better == "higher" else -1
@@ -63,8 +67,11 @@ def summarize(runs: list[dict], metric: str, better: str) -> dict:
     out = {side: {"median": statistics.median(v), "iqr_over_median": iqr_over_median(v)}
            for side, v in values.items()}
     base = out["parent"]["median"]
+    paired = [c / p for p, c in zip(values["parent"], values["change"]) if p]
     out.update(better=better, pairs=len(runs), change_won=wins,
-               ratio=out["change"]["median"] / base if base else None)
+               ratio=out["change"]["median"] / base if base else None,
+               paired_ratio={"median": statistics.median(paired),
+                             "iqr_over_median": iqr_over_median(paired)} if paired else None)
     return out
 
 
@@ -136,14 +143,19 @@ def run_pairs(pr: int, base: str, plan: list[tuple[str, list[int]]]) -> dict:
 
 
 def print_table(result: dict) -> None:
+    """One row per workload and metric: the medians, their ratio, the wins and
+    the parent's IQR/median, then the paired ratios' median and IQR/median."""
     print(f"{'workload':<8} {'metric':<15} {'parent':>10} {'change':>10} {'ratio':>7} "
-          f"{'won':>6} {'IQR/med':>8}")
+          f"{'won':>6} {'IQR/med':>8} {'paired':>7} {'IQR/med':>8}")
     for workload, entry in result["workloads"].items():
         for metric, s in entry["metrics"].items():
             ratio = f"{s['ratio']:.3f}" if s["ratio"] is not None else "-"
+            paired = s["paired_ratio"]
+            pair = (f"{paired['median']:>7.3f} {paired['iqr_over_median']:>8.3f}" if paired
+                    else f"{'-':>7} {'-':>8}")
             print(f"{workload:<8} {metric:<15} {s['parent']['median']:>10.4g} "
                   f"{s['change']['median']:>10.4g} {ratio:>7} {s['change_won']:>3}/{s['pairs']:<2} "
-                  f"{s['parent']['iqr_over_median']:>8.3f}")
+                  f"{s['parent']['iqr_over_median']:>8.3f} {pair}")
 
 
 def main(argv=None) -> int:

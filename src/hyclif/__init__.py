@@ -56,13 +56,10 @@ _EXPORTS = {
     ),
     "ideals": (
         "IdealBasis",
-        "SpinorRep",
         "ideal_span",
         "minimality_check",
         "module_action",
         "module_map",
-        "spinor_compose",
-        "spinor_decompose",
         "spinor_from_json",
         "spinor_to_json",
     ),

@@ -13,7 +13,7 @@ from typing import ClassVar, Sequence
 
 from . import linalg
 from .hyperspace import Subspace, Vecfor, _scalars, sigma_basis, span
-from .multivector import AlgebraContext
+from .multivector import AlgebraContext, ContextMismatchError
 from .scalar import ONE, ZERO, Scalar
 
 ScalarLike = Scalar | int | Fraction
@@ -92,6 +92,8 @@ class HEndo:
         return [list(r) for r in self.matrix]
 
     def apply(self, x: Vecfor) -> Vecfor:
+        if x.context is not self.context:
+            raise ContextMismatchError("vecfor comes from another algebra context")
         n = self.context.dim_n
         coords = list(x.vec) + list(x.form)
         out = linalg.mat_vec(self.matrix, coords)

@@ -284,9 +284,8 @@ class Subspace:
             raise ValueError(f"ambient must be one of {_AMBIENTS}")
         rows = tuple(_scalars(row) for row in self.basis)
         object.__setattr__(self, "basis", rows)
-        width = self.context.dim_n * (2 if self.ambient == "H_V" else 1)
-        if any(len(row) != width for row in rows):
-            raise ValueError(f"expected coordinate width {width}")
+        if any(len(row) != self.width for row in rows):
+            raise ValueError(f"expected coordinate width {self.width}")
         rref: dict[int, linalg.SparseRow] = {}
         for row in rows:
             if linalg.sparse_insert(rref, linalg.sparse_row(row)) is None:
@@ -297,7 +296,14 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @property
+    def width(self) -> int:
+        """Coordinates per point: n in V or V*, 2n in H_V."""
+        return self.context.dim_n * (2 if self.ambient == "H_V" else 1)
+
     def contains(self, v: Sequence[Scalar]) -> bool:
+        if len(v) != self.width:
+            raise ValueError(f"expected coordinate width {self.width}, got {len(v)}")
         return not linalg.sparse_reduce(self._rref, linalg.sparse_row(v))
 
     def same_span(self, other: Subspace) -> bool:
@@ -314,12 +320,21 @@ def span(ctx: AlgebraContext, ambient: str, rows: Sequence[Sequence[Scalar]]) ->
     return Subspace(ctx, ambient, tuple(tuple(r) for r in ech[: len(pivots)]))
 
 
+def _same_space(a: Subspace, b: Subspace) -> None:
+    if a.context is not b.context:
+        raise ContextMismatchError("subspaces come from different algebra contexts")
+    if a.ambient != b.ambient:
+        raise ContextMismatchError(f"a subspace of {a.ambient} and one of {b.ambient} share no space")
+
+
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    _same_space(a, b)
     return span(a.context, a.ambient, a.basis + b.basis)
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     # x = c . A = d . B  <=>  [A^T | -B^T] (c, d)^T = 0
+    _same_space(a, b)
     if a.dim == 0 or b.dim == 0:
         return Subspace(a.context, a.ambient, ())
     cols = len(a.basis[0])

@@ -9,8 +9,9 @@ sparse elimination.  Minimality is certified, not sampled: the Fock
 representation is an isomorphism Cl(H_V) = End(/\\V), under which Cl * g is
 the set of matrices whose rows lie in the row space of rep(g), so
 dim Cl * g = 2^n rank rep(g) and Cl * g is minimal iff rank rep(g) = 1,
-read off the sparse rows of rep(g).  Spinors are elements supported on
-t-generators only, stored by strictly-increasing indices.
+read off the sparse rows of rep(g).  A spinor is an element of /\\V*, a
+Multivector supported on the t-generators; its JSON form lists the blade
+coefficients grade by grade.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import linalg
 from .fock import FockMatrix, rep
 from .hyperspace import Vecfor
 from .multivector import AlgebraContext, Multivector, gp, lcontract, wedge
-from .scalar import SQRT2, ZERO, Scalar
+from .scalar import SQRT2, Scalar
 
 
 @dataclass(frozen=True)
@@ -127,97 +128,35 @@ def conjugated_module_action(ctx: AlgebraContext, x: Vecfor) -> FockMatrix:
     ))
 
 
-# -- spinor component storage -----------------------------------------------------
+# -- spinor JSON: an element of /\V* keyed by grade ------------------------------
 
 
-@dataclass(frozen=True)
-class SpinorRep:
-    """Components of a spinor: one Scalar per strictly increasing index tuple.
-
-    Grade-2 components are the antisymmetric tensor entries f_{mu nu} with
-    mu < nu; the paired 1/2 (and higher 1/k!) expansion factors cancel against
-    the summed orderings, so each stored component is the blade coefficient.
-    """
-
-    context: AlgebraContext
-    components: dict[tuple[int, ...], Scalar]
-
-    def __post_init__(self):
-        n = self.context.dim_n
-        comps = {}
-        for idx, val in self.components.items():
-            tup = tuple(idx)
-            if any(not 1 <= i <= n for i in tup) or list(tup) != sorted(set(tup)):
-                raise ValueError(f"component index must be strictly increasing in 1..{n}: {tup}")
-            s = val if isinstance(val, Scalar) else Scalar(val)
-            if s:
-                comps[tup] = s
-        object.__setattr__(self, "components", comps)
-
-    def component(self, *indices: int) -> Scalar:
-        return self.components.get(tuple(indices), ZERO)
+def _spinor_layout(n: int) -> dict[str, list[int]]:
+    """Each grade's JSON key with its t-blade masks, in lexicographic order of
+    the blades' index tuples.  Grades 0..2 are keyed "s", "v", "f", the top
+    grade "p" (n >= 3), and the remaining grades "c3".."c{n-1}"."""
+    layout = {}
+    for r in range(n + 1):
+        key = "s" if r == 0 else "v" if r == 1 else "f" if r == 2 else "p" if r == n else f"c{r}"
+        layout[key] = [sum(1 << (n + i) for i in idx) for idx in combinations(range(n), r)]
+    return layout
 
 
-def spinor_compose(rep: SpinorRep) -> Multivector:
-    """Multivector of /\\V* with blade coefficients given by the components."""
-    ctx = rep.context
-    n = ctx.dim_n
-    terms = {}
-    for idx, c in rep.components.items():
-        mask = 0
-        for i in idx:
-            mask |= 1 << (n + i - 1)
-        terms[mask] = c
-    return Multivector(ctx, terms)
-
-
-def spinor_decompose(u: Multivector) -> SpinorRep:
+def spinor_to_json(u: Multivector) -> dict:
+    """JSON schema {"s": Scalar, "v": [...], "f": [...], ..., "p": Scalar} of
+    a spinor u in /\\V*: "s" and "p" hold one coefficient, every other key the
+    list of its grade's blade coefficients."""
     ctx = u.context
     if not u.supported_on(ctx.theta_star_mask):
         raise ValueError("spinor support must lie on t-generators only")
-    n = ctx.dim_n
-    comps = {}
-    for mask, c in u.terms.items():
-        idx = tuple(k - n + 1 for k in range(n, 2 * n) if mask >> k & 1)
-        comps[idx] = c
-    return SpinorRep(ctx, comps)
-
-
-def _grade_key(n: int, r: int) -> str:
-    if r == 0:
-        return "s"
-    if r == 1:
-        return "v"
-    if r == 2:
-        return "f"
-    if r == n:
-        return "p"
-    return f"c{r}"
-
-
-def spinor_to_json(rep: SpinorRep) -> dict:
-    """JSON schema {"s": Scalar, "v": [...], "f": [...], ..., "p": Scalar}.
-
-    Lists run over strictly increasing index tuples in lexicographic order;
-    grades 0..2 are keyed "s", "v", "f", the top grade "p" (n >= 3), and the
-    remaining grades "c3".."c{n-1}".
-    """
-    n = rep.context.dim_n
     out: dict = {}
-    for r in range(n + 1):
-        key = _grade_key(n, r)
-        if key == "s":
-            out[key] = rep.component().to_json()
-        elif key == "p":
-            out[key] = rep.component(*range(1, n + 1)).to_json()
-        else:
-            out[key] = [
-                rep.component(*idx).to_json() for idx in combinations(range(1, n + 1), r)
-            ]
+    for key, masks in _spinor_layout(ctx.dim_n).items():
+        vals = [u.coeff(m).to_json() for m in masks]
+        out[key] = vals[0] if key in ("s", "p") else vals
     return out
 
 
-def spinor_from_json(ctx: AlgebraContext, obj: dict) -> SpinorRep:
+def spinor_from_json(ctx: AlgebraContext, obj: dict) -> Multivector:
     """Inverse of spinor_to_json, which writes every grade key.
 
     Raises ValueError on a payload that is not an object, a missing or
@@ -226,25 +165,19 @@ def spinor_from_json(ctx: AlgebraContext, obj: dict) -> SpinorRep:
     if not isinstance(obj, dict):
         raise ValueError(f"spinor payload must be a JSON object, got {type(obj).__name__}")
     n = ctx.dim_n
-    keys = {_grade_key(n, r): r for r in range(n + 1)}
-    if set(obj) != set(keys):
+    layout = _spinor_layout(n)
+    if set(obj) != set(layout):
         raise ValueError(
-            f"spinor keys at n={n} must be {sorted(keys)}; "
-            f"missing {sorted(set(keys) - set(obj))}, unknown {sorted(set(obj) - set(keys))}"
+            f"spinor keys at n={n} must be {sorted(layout)}; "
+            f"missing {sorted(set(layout) - set(obj))}, unknown {sorted(set(obj) - set(layout))}"
         )
-    comps: dict[tuple[int, ...], Scalar] = {}
-    for key, r in keys.items():
-        if key == "s":
-            comps[()] = Scalar.from_json(obj[key])
-        elif key == "p":
-            comps[tuple(range(1, n + 1))] = Scalar.from_json(obj[key])
-        else:
-            indices = list(combinations(range(1, n + 1), r))
-            vals = obj[key]
-            if not isinstance(vals, list) or len(vals) != len(indices):
-                raise ValueError(
-                    f"spinor key {key!r} at n={n} needs a list of {len(indices)} values"
-                )
-            for idx, val in zip(indices, vals):
-                comps[idx] = Scalar.from_json(val)
-    return SpinorRep(ctx, comps)
+    terms = {}
+    for key, masks in layout.items():
+        vals = obj[key]
+        if key in ("s", "p"):
+            vals = [vals]
+        elif not isinstance(vals, list) or len(vals) != len(masks):
+            raise ValueError(f"spinor key {key!r} at n={n} needs a list of {len(masks)} values")
+        for m, val in zip(masks, vals):
+            terms[m] = Scalar.from_json(val)
+    return Multivector(ctx, terms)

@@ -47,8 +47,11 @@ def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> Mat
 
 
 def mat_vec(a: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> Vector:
+    """a v; raises ValueError unless each row of a is as long as v."""
     out = []
     for row in a:
+        if len(row) != len(v):
+            raise ValueError(f"a matrix row of length {len(row)} cannot act on {len(v)} coordinates")
         acc = ZERO
         for x, y in zip(row, v):
             if x and y:

@@ -630,7 +630,7 @@ def _witt_pairing_formula(ctx, rng):
         direct = direct + a * b
     d = vec_pairing(x, y) - direct
     d = d + bilinear(x.to_multivector(), y.to_multivector()) - direct
-    return _expect_zero(d, "<x,y> - x_form(y_vec) - y_form(x_vec)", x=x.to_multivector(), y=y.to_multivector())
+    return _expect_zero(d, "<x,y> - x_form(y_vec) - y_form(x_vec)", x=x, y=y)
 
 
 @identity("witt", "V and V* are totally isotropic")
@@ -642,7 +642,7 @@ def _witt_isotropy(ctx, rng):
     xf = Vecfor(ctx, tuple([ZERO] * n), x.form)
     yf = Vecfor(ctx, tuple([ZERO] * n), y.form)
     d = vec_pairing(xv, yv) + vec_pairing(xf, yf)
-    return _expect_zero(d, "<x_vec, y_vec> + <x_form, y_form>", x=x.to_multivector(), y=y.to_multivector())
+    return _expect_zero(d, "<x_vec, y_vec> + <x_form, y_form>", x=x, y=y)
 
 
 @identity("witt", "classification matches the sign of the self-pairing")
@@ -652,9 +652,9 @@ def _witt_classify(ctx, rng):
     p = x.self_pairing()
     expect = "positive" if p.sign() > 0 else ("negative" if p.sign() < 0 else "null")
     if kind != expect:
-        return _fail("classify disagrees with sign", x=x.to_multivector())
+        return _fail("classify disagrees with sign", x=x)
     if (unit == "unit") != (p == 1 or p == -1):
-        return _fail("unit flag disagrees", x=x.to_multivector())
+        return _fail("unit flag disagrees", x=x)
     return None
 
 
@@ -664,7 +664,7 @@ def _witt_conjugate(ctx, rng):
     xb = x.conjugate()
     d = vec_pairing(xb, x)
     d = d + vec_pairing(xb, xb) + vec_pairing(x, x)
-    return _expect_zero(d, "<~x, x> and <~x,~x> + <x,x>", x=x.to_multivector())
+    return _expect_zero(d, "<~x, x> and <~x,~x> + <x,x>", x=x)
 
 
 @identity("witt", "conjugation swaps the paired orthonormal components")
@@ -675,7 +675,7 @@ def _witt_conjugate_components(ctx, rng):
     cb = sigma_components(x.conjugate())
     for k in range(n):
         if cb[k] != c[n + k] or cb[n + k] != c[k]:
-            return _fail("component swap failed", x=x.to_multivector())
+            return _fail("component swap failed", x=x)
     return None
 
 
@@ -688,7 +688,7 @@ def _witt_bracket(ctx, rng):
     for a, b in zip(y.form, x.vec):
         direct = direct - a * b
     d = (bracket(x, y) - direct) + (bracket(x, y) + bracket(y, x)) + bracket(x, x)
-    return _expect_zero(d, "[x,y] value/antisymmetry", x=x.to_multivector(), y=y.to_multivector())
+    return _expect_zero(d, "[x,y] value/antisymmetry", x=x, y=y)
 
 
 @identity("witt", "orthonormal basis Gram is diag(+1^n, -1^n)", per_trial=False)
@@ -710,7 +710,7 @@ def _witt_sigma_roundtrip(ctx, rng):
     x = random_vecfor(ctx, rng)
     back = sigma_reconstruct(ctx, sigma_components(x))
     if back.vec != x.vec or back.form != x.form:
-        return _fail("reconstruction failed", x=x.to_multivector())
+        return _fail("reconstruction failed", x=x)
     return None
 
 
@@ -864,14 +864,14 @@ def _endo_vecfor(ctx, rng):
         fy = fy + a * b
     expect = [fy * c for c in x.vec]
     if phi.apply(y.vec) != expect:
-        return _fail("x(y) != x_form(y) x_vec", x=x.to_multivector(), y=y.to_multivector())
+        return _fail("x(y) != x_form(y) x_vec", x=x, y=y)
     gy = ZERO
     for a, b in zip(y.form, x.vec):
         gy = gy + a * b
     if phi.dual().apply(y.form) != [gy * c for c in x.form]:
-        return _fail("x*(y*) != y*(x_vec) x_form", x=x.to_multivector(), y=y.to_multivector())
+        return _fail("x*(y*) != y*(x_vec) x_form", x=x, y=y)
     if any(x.vec) and any(x.form) and phi.rank() != 1:
-        return _fail("rank != 1", x=x.to_multivector())
+        return _fail("rank != 1", x=x)
     return None
 
 
@@ -880,16 +880,16 @@ def _endo_projection(ctx, rng):
     x = random_nonnull_vecfor(ctx, rng)
     p = projection(x)
     if p.compose(p) != p:
-        return _fail("P^2 != P", x=x.to_multivector())
+        return _fail("P^2 != P", x=x)
     if p.adjoint() != p:
-        return _fail("P not self-dual", x=x.to_multivector())
+        return _fail("P not self-dual", x=x)
     y, z = random_vecfor(ctx, rng), random_vecfor(ctx, rng)
     if vec_pairing(p.apply(y), z) != vec_pairing(y, p.apply(z)):
-        return _fail("<Py,z> != <y,Pz>", x=x.to_multivector())
+        return _fail("<Py,z> != <y,Pz>", x=x)
     img = p.apply(y)
     span = Subspace(ctx, "V", (x.vec,)) if any(x.vec) else None
     if span and any(img.vec) and not span.contains(img.vec):
-        return _fail("P image not in span{x_vec}", x=x.to_multivector())
+        return _fail("P image not in span{x_vec}", x=x)
     return None
 
 
@@ -924,12 +924,12 @@ def _endo_reflection(ctx, rng):
     x = random_nonnull_vecfor(ctx, rng)
     r = reflection(x)
     if r.compose(r) != identity_hendo(ctx):
-        return _fail("R^2 != 1", x=x.to_multivector())
+        return _fail("R^2 != 1", x=x)
     y, z = random_vecfor(ctx, rng), random_vecfor(ctx, rng)
     if vec_pairing(r.apply(y), r.apply(z)) != vec_pairing(y, z):
-        return _fail("<Ry,Rz> != <y,z>", x=x.to_multivector())
+        return _fail("<Ry,Rz> != <y,z>", x=x)
     if r.adjoint().compose(r) != identity_hendo(ctx):
-        return _fail("R* R != 1", x=x.to_multivector())
+        return _fail("R* R != 1", x=x)
     return None
 
 
@@ -952,7 +952,7 @@ def _endo_rho_b(ctx, rng):
     b = random_symmetric_form(ctx.dim_n, rng)
     x, y = random_vecfor(ctx, rng), random_vecfor(ctx, rng)
     d = rho_b_pairing(b, x, y) - vec_pairing(x, y)
-    return _expect_zero(d, "b(x+,y+) - b(x-,y-) - <x,y>", x=x.to_multivector(), y=y.to_multivector())
+    return _expect_zero(d, "b(x+,y+) - b(x-,y-) - <x,y>", x=x, y=y)
 
 
 @identity("endo", "split image of the orthonormal basis matches the closed form")
@@ -1062,14 +1062,14 @@ def _ideal_module_action(ctx, rng):
     u = random_multivector(ctx, rng, support_mask=ctx.e_star_mask)
     lhs = module_action(x, u)
     rhs = module_action_formula(x, u)
-    return _expect_zero(lhs - rhs, "m^-1(x m(u)) - x_vec ^ u - 2 (x_form _| u)", x=x.to_multivector(), u=u)
+    return _expect_zero(lhs - rhs, "m^-1(x m(u)) - x_vec ^ u - 2 (x_form _| u)", x=x, u=u)
 
 
 @identity("ideals", "grade-scaling conjugation recovers the Fock action")
 def _ideal_conjugation(ctx, rng):
     x = random_vecfor(ctx, rng)
     if conjugated_module_action(ctx, x) != clifford_map_matrix(ctx, x):
-        return _fail("D (module action) D^-1 != Clifford map", x=x.to_multivector())
+        return _fail("D (module action) D^-1 != Clifford map", x=x)
     return None
 
 

@@ -25,7 +25,7 @@ from hyclif.hyperspace import (
     sigma_basis,
     vec_pairing,
 )
-from hyclif.multivector import AlgebraContext
+from hyclif.multivector import AlgebraContext, ContextMismatchError
 from hyclif.scalar import ONE, ZERO, Scalar
 from hyclif.suites import random_linmap, random_nonnull_vecfor, random_vecfor
 
@@ -167,6 +167,21 @@ def test_hyperplane_representation(ctx2):
     assert neg == (-ONE, ZERO)
     with pytest.raises(ValueError):
         hyperplane_representation(ctx2, (ZERO, ZERO), 1)
+
+
+def test_hendo_apply_rejects_a_vecfor_of_another_context(ctx2, ctx3):
+    # an n=3 vecfor used to be read as 2n = 4 coordinates, mixing its parts
+    with pytest.raises(ContextMismatchError):
+        identity_hendo(ctx2).apply(Vecfor(ctx3, (ONE, Scalar(2), Scalar(3)), (Scalar(4), Scalar(5), Scalar(6))))
+
+
+@pytest.mark.parametrize("v", [[ONE], [ONE, ZERO, ZERO]])
+def test_linmap_apply_rejects_a_vector_of_another_length(ctx2, v):
+    # a short vector used to be padded with zeros, a long one truncated
+    identity = LinMapV(ctx2, linalg.identity(2))
+    assert identity.apply([ONE, Scalar(2)]) == [ONE, Scalar(2)]
+    with pytest.raises(ValueError):
+        identity.apply(v)
 
 
 def test_hendo_json(ctx1):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyclif.multivector import AlgebraContext, bilinear, gp
+from hyclif.multivector import AlgebraContext, ContextMismatchError, bilinear, gp
 from hyclif.hyperspace import (
     Subspace,
     SymmetricForm,
@@ -195,6 +195,28 @@ def test_isotropic_extension_of_subspace(ctx2, rng):
         for u in ext.basis:
             for v in ext.basis:
                 assert vec_pairing(hv_vecfor(ctx2, u), hv_vecfor(ctx2, v)) == ZERO
+
+
+@pytest.mark.parametrize("combine", [subspace_sum, subspace_intersection])
+def test_subspaces_of_two_contexts_do_not_combine(ctx2, ctx3, combine):
+    # the n=3 row used to be cut to the n=2 width: (1,0) + (1,0,0) gave a line
+    with pytest.raises(ContextMismatchError):
+        combine(Subspace(ctx2, "V", ((ONE, ZERO),)), Subspace(ctx3, "V", ((ONE, ZERO, ZERO),)))
+
+
+@pytest.mark.parametrize("combine", [subspace_sum, subspace_intersection])
+def test_subspaces_of_v_and_v_dual_do_not_combine(ctx2, combine):
+    # the sum used to be read as a plane of V
+    with pytest.raises(ContextMismatchError):
+        combine(Subspace(ctx2, "V", ((ONE, ZERO),)), Subspace(ctx2, "V_dual", ((ZERO, ONE),)))
+
+
+@pytest.mark.parametrize("point", [[ONE], [ONE, ZERO, ZERO, ZERO]])
+def test_contains_rejects_a_point_of_another_width(ctx3, point):
+    line = Subspace(ctx3, "V", ((ONE, ZERO, ZERO),))
+    assert line.contains([ONE, ZERO, ZERO])
+    with pytest.raises(ValueError, match="coordinate width 3"):
+        line.contains(point)
 
 
 def test_dependent_basis_rejected(ctx2):

@@ -1,10 +1,11 @@
+import json
+
 import pytest
 from test_linalg import dense_rank, dense_row_echelon
 
 from hyclif import linalg
 from hyclif.fock import clifford_map_matrix, rep
 from hyclif.ideals import (
-    SpinorRep,
     conjugated_module_action,
     ideal_span,
     minimality_check,
@@ -12,8 +13,6 @@ from hyclif.ideals import (
     module_action_formula,
     module_map,
     module_map_inverse,
-    spinor_compose,
-    spinor_decompose,
     spinor_from_json,
     spinor_to_json,
 )
@@ -224,42 +223,42 @@ def test_theta_only_wedge_closure(ctx2, rng):
         assert gp(u, v) == wedge(u, v)
 
 
-def test_spinor_compose_examples(ctx1, ctx2):
-    assert spinor_compose(SpinorRep(ctx1, {(): Scalar(2), (1,): Scalar(3)})) == (
+def test_spinor_from_json_examples(ctx1, ctx2):
+    z, one = Scalar(0).to_json(), ONE.to_json()
+    assert spinor_from_json(ctx1, {"s": Scalar(2).to_json(), "v": [Scalar(3).to_json()]}) == (
         ctx1.scalar(2) + ctx1.t(1).scale(3)
     )
-    assert spinor_compose(SpinorRep(ctx1, {})).is_zero()
-    # antisymmetric pair f_12 = 1, f_21 = -1 collapses onto the single blade
-    assert spinor_compose(SpinorRep(ctx2, {(1, 2): ONE})) == wedge(ctx2.t(1), ctx2.t(2))
+    assert spinor_from_json(ctx1, {"s": z, "v": [z]}).is_zero()
+    # the grade-2 entry f_12 is the coefficient of the single blade t1^t2
+    assert spinor_from_json(ctx2, {"s": z, "v": [z, z], "f": [one]}) == wedge(ctx2.t(1), ctx2.t(2))
 
 
-def test_spinor_roundtrip(ctx2, rng):
-    for _ in range(20):
-        u = random_multivector(ctx2, rng, support_mask=ctx2.theta_star_mask)
-        assert spinor_compose(spinor_decompose(u)) == u
-    with pytest.raises(ValueError):
-        spinor_decompose(ctx2.e(1))
+def test_spinor_roundtrip(rng):
+    for n in range(1, 6):
+        ctx = AlgebraContext(n)
+        for _ in range(20):
+            u = random_multivector(ctx, rng, support_mask=ctx.theta_star_mask)
+            assert spinor_from_json(ctx, spinor_to_json(u)) == u
 
 
-def test_spinor_component_validation(ctx2):
-    with pytest.raises(ValueError):
-        SpinorRep(ctx2, {(2, 1): ONE})  # not increasing
-    with pytest.raises(ValueError):
-        SpinorRep(ctx2, {(3,): ONE})  # out of range
+def test_spinor_to_json_rejects_e_support(ctx2):
+    for u in (ctx2.e(1), wedge(ctx2.e(1), ctx2.t(1)), ctx2.scalar(1) + ctx2.e(2)):
+        with pytest.raises(ValueError, match="spinor support must lie on t-generators only"):
+            spinor_to_json(u)
 
 
 def test_spinor_json_schema(ctx2):
-    rep = SpinorRep(ctx2, {(): ONE, (2,): Scalar(3), (1, 2): Scalar(-1)})
-    payload = spinor_to_json(rep)
+    u = ctx2.scalar(1) + ctx2.t(2).scale(3) - wedge(ctx2.t(1), ctx2.t(2))
+    payload = spinor_to_json(u)
     assert set(payload) == {"s", "v", "f"}
     assert payload["s"] == {"rat": "1", "rat_r2": "0"}
     assert payload["v"] == [{"rat": "0", "rat_r2": "0"}, {"rat": "3", "rat_r2": "0"}]
     assert payload["f"] == [{"rat": "-1", "rat_r2": "0"}]
-    assert spinor_from_json(ctx2, payload).components == rep.components
+    assert spinor_from_json(ctx2, payload) == u
 
 
 def test_spinor_json_rejects_short_list(ctx2):
-    payload = spinor_to_json(SpinorRep(ctx2, {(1,): ONE}))
+    payload = spinor_to_json(ctx2.t(1))
     payload["v"] = payload["v"][:1]
     with pytest.raises(ValueError):
         spinor_from_json(ctx2, payload)
@@ -267,14 +266,14 @@ def test_spinor_json_rejects_short_list(ctx2):
 
 def test_spinor_json_rejects_long_list():
     ctx = AlgebraContext(3)
-    payload = spinor_to_json(SpinorRep(ctx, {(1,): ONE}))
+    payload = spinor_to_json(ctx.t(1))
     payload["v"] = payload["v"] + [Scalar(5).to_json()] * 2
     with pytest.raises(ValueError):
         spinor_from_json(ctx, payload)
 
 
 def test_spinor_json_rejects_unknown_key(ctx2):
-    payload = spinor_to_json(SpinorRep(ctx2, {(1,): ONE}))
+    payload = spinor_to_json(ctx2.t(1))
     payload["p"] = ONE.to_json()  # the top grade of n=2 is keyed "f"
     with pytest.raises(ValueError):
         spinor_from_json(ctx2, payload)
@@ -283,7 +282,7 @@ def test_spinor_json_rejects_unknown_key(ctx2):
 def test_spinor_json_rejects_missing_key(ctx2):
     with pytest.raises(ValueError):
         spinor_from_json(ctx2, {})
-    payload = spinor_to_json(SpinorRep(ctx2, {(1,): ONE}))
+    payload = spinor_to_json(ctx2.t(1))
     del payload["f"]
     with pytest.raises(ValueError):
         spinor_from_json(ctx2, payload)
@@ -297,9 +296,25 @@ def test_spinor_json_rejects_non_object(ctx1, payload):
 
 def test_spinor_json_keys_n3():
     ctx = AlgebraContext(3)
-    rep = SpinorRep(ctx, {(1, 2, 3): ONE, (1, 3): Scalar(2)})
-    payload = spinor_to_json(rep)
+    u = ctx.theta_star() + wedge(ctx.t(1), ctx.t(3)).scale(2)
+    payload = spinor_to_json(u)
     assert set(payload) == {"s", "v", "f", "p"}
     assert payload["p"] == {"rat": "1", "rat_r2": "0"}
     assert payload["f"][1] == {"rat": "2", "rat_r2": "0"}
-    assert spinor_from_json(ctx, payload).components == rep.components
+    assert spinor_from_json(ctx, payload) == u
+
+
+def test_spinor_json_bytes_n4():
+    # pinned bytes: the first layout with a "c<r>" key, between "f" and "p"
+    ctx = AlgebraContext(4)
+    u = ctx.scalar(1) + ctx.t(2).scale(3) + wedge(wedge(ctx.t(1), ctx.t(3)), ctx.t(4))
+    u = u - ctx.theta_star().scale(2)
+    assert json.dumps(spinor_to_json(u)) == (
+        '{"s": {"rat": "1", "rat_r2": "0"}, "v": [{"rat": "0", "rat_r2": "0"}, '
+        '{"rat": "3", "rat_r2": "0"}, {"rat": "0", "rat_r2": "0"}, {"rat": "0", "rat_r2": "0"}], '
+        '"f": [{"rat": "0", "rat_r2": "0"}, {"rat": "0", "rat_r2": "0"}, {"rat": "0", "rat_r2": "0"}, '
+        '{"rat": "0", "rat_r2": "0"}, {"rat": "0", "rat_r2": "0"}, {"rat": "0", "rat_r2": "0"}], '
+        '"c3": [{"rat": "0", "rat_r2": "0"}, {"rat": "0", "rat_r2": "0"}, {"rat": "1", "rat_r2": "0"}, '
+        '{"rat": "0", "rat_r2": "0"}], "p": {"rat": "-2", "rat_r2": "0"}}'
+    )
+    assert spinor_from_json(ctx, spinor_to_json(u)) == u
