@@ -44,6 +44,10 @@ class LinMapV:
         return linalg.mat_vec(self.matrix, v)
 
     def compose(self, other: LinMapV) -> LinMapV:
+        if other.context is not self.context:
+            raise ContextMismatchError("maps come from different algebra contexts")
+        if other.ambient != self.ambient:
+            raise ContextMismatchError(f"a map of {self.ambient} cannot compose with a map of {other.ambient}")
         return type(self)(self.context, linalg.mat_mul(self.matrix, other.matrix))
 
     def det(self) -> Scalar:
@@ -100,6 +104,8 @@ class HEndo:
         return Vecfor(self.context, tuple(out[:n]), tuple(out[n:]))
 
     def compose(self, other: HEndo) -> HEndo:
+        if other.context is not self.context:
+            raise ContextMismatchError("maps come from different algebra contexts")
         return HEndo(self.context, linalg.mat_mul(self.matrix, other.matrix))
 
     def is_block_diagonal(self) -> bool:

@@ -44,22 +44,14 @@ class IdealBasis:
 
 
 def ideal_span(g: Multivector) -> IdealBasis:
-    """Unique RREF basis of Cl * g.  The generators x span Cl as an algebra, so
-    a subspace holding g and x * r for each r it was built from is Cl * g."""
+    """Unique RREF basis of Cl * g, the span of the products a * g over the
+    4^n basis blades a."""
     if g.is_zero():
         raise ValueError("zero generator spans the zero ideal")
     ctx = g.context
-    gens = [ctx.generator(i) for i in range(ctx.num_generators)]
     rows: dict[int, linalg.SparseRow] = {}
-    linalg.sparse_insert(rows, g.terms)
-    todo = [g]
-    for r in todo:  # the loop also visits the rows appended while it runs
-        for x in gens:
-            p = linalg.sparse_insert(rows, gp(x, r).terms)
-            if p is not None:
-                todo.append(Multivector(ctx, rows[p]))
-                if len(todo) > 1 << ctx.num_generators:  # each new pivot is one of the 4^n blade masks
-                    raise RuntimeError("ideal span outgrew the algebra: elimination is inconsistent")
+    for a in range(1 << ctx.num_generators):
+        linalg.sparse_insert(rows, gp(ctx.blade(a), g).terms)
     return IdealBasis(generator=g, span=tuple(Multivector(ctx, rows[p]) for p in sorted(rows)))
 
 

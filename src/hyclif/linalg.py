@@ -32,9 +32,12 @@ def transpose(m: Sequence[Sequence[Scalar]]) -> Matrix:
 
 
 def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> Matrix:
+    """a b; raises ValueError unless each row of a is as long as b has rows."""
     bt = transpose(b)
     out = []
     for row in a:
+        if len(row) != len(b):
+            raise ValueError(f"a matrix row of length {len(row)} cannot multiply {len(b)} rows")
         out_row = []
         for col in bt:
             acc = ZERO

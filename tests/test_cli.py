@@ -57,10 +57,11 @@ def test_check_passes(capsys):
     assert "all identities hold" in out
 
 
-def test_check_report_matches_golden(capsys):
-    code, out, _ = run_main(capsys, "--dim", "2", "check", "--suite", "all", "--trials", "3", "--seed", "42")
+@pytest.mark.parametrize("n", [2, 3])
+def test_check_report_matches_golden(capsys, n):
+    code, out, _ = run_main(capsys, "--dim", str(n), "check", "--suite", "all", "--trials", "3", "--seed", "42")
     assert code == EXIT_OK
-    assert out.encode() == (GOLDEN / "check_all_n2.txt").read_bytes()
+    assert out.encode() == (GOLDEN / f"check_all_n{n}.txt").read_bytes()
 
 
 def test_check_unknown_suite(capsys):

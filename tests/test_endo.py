@@ -184,6 +184,24 @@ def test_linmap_apply_rejects_a_vector_of_another_length(ctx2, v):
         identity.apply(v)
 
 
+def test_linmap_compose_rejects_a_map_of_another_context(ctx2):
+    # two n=2 contexts used to compose silently
+    with pytest.raises(ContextMismatchError):
+        LinMapV(ctx2, linalg.identity(2)).compose(LinMapV(AlgebraContext(2), linalg.identity(2)))
+
+
+def test_linmap_compose_rejects_a_map_of_the_dual_space(ctx2):
+    phi = LinMapV(ctx2, linalg.identity(2))
+    assert phi.compose(phi) == phi
+    with pytest.raises(ContextMismatchError):
+        phi.compose(phi.dual())
+
+
+def test_hendo_compose_rejects_a_map_of_another_context(ctx2):
+    with pytest.raises(ContextMismatchError):
+        identity_hendo(ctx2).compose(identity_hendo(AlgebraContext(2)))
+
+
 def test_hendo_json(ctx1):
     payload = identity_hendo(ctx1).to_json()
     assert payload == [

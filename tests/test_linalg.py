@@ -176,6 +176,16 @@ def test_solve():
     assert inconsistent is None
 
 
+def test_mat_mul_rejects_mismatched_shapes():
+    # a 2x2 times a 3x3 used to return 2x3 and drop the third row of b
+    b = m([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    assert linalg.mat_mul(linalg.identity(3), b) == b
+    with pytest.raises(ValueError):
+        linalg.mat_mul(linalg.identity(2), b)
+    with pytest.raises(ValueError):
+        linalg.mat_mul(b, linalg.identity(2))
+
+
 def test_inverse_and_det():
     a = m([[2, 1], [1, 1]])
     inv = linalg.inverse(a)

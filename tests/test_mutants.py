@@ -60,6 +60,15 @@ def _fock_term_pair_sign(a, s, n):
     return s2, odd ^ 1, k
 
 
+def _fock_term_e1_creation_sign(a, s, n):
+    """Flips the sign of every blade that creates e1: it holds e1 and not t1."""
+    term = _FOCK_TERM(a, s, n)
+    if term is None or a & (1 | 1 << n) != 1:
+        return term
+    s2, odd, k = term
+    return s2, odd ^ 1, k
+
+
 def _fock_matrix_last_entry_wins(self, context, entries):
     """Keeps the last entry at each (s2, s) in place of the sum of them all."""
     _FOCK_INIT(self, context, [(s2, s, v) for (s2, s), v in {(s2, s): v for s2, s, v in entries}.items()])
@@ -133,3 +142,11 @@ def test_suites_catch_mutant(monkeypatch, owner, attr, mutant):
         assert report.failures == len(fails[n])
     assert fails[2] or fails[3], f"mutant {attr} passed every suite at n=2 and n=3"
 
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_conjugation_identity_catches_the_e1_creation_sign(monkeypatch, n):
+    # the Witt generator e1 has the flipped sign, so the generator proof sees it
+    monkeypatch.setattr(fock, "_fock_term", _fock_term_e1_creation_sign)
+    lines = run_suite("ideals", n, trials=3, seed=42).lines
+    assert any(line.startswith("FAIL ideals: grade-scaling conjugation recovers the Fock action: ") for line in lines)
