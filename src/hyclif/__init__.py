@@ -19,9 +19,7 @@ _EXPORTS = {
     "exprparse": ("ParseError", "eval_source", "evaluate", "parse", "unparse"),
     "fock": (
         "FockMatrix",
-        "clifford_map_matrix",
         "even_odd_block_structure",
-        "grandmother_dimension_check",
         "rep",
         "tensor_split_check",
         "verify_end_iso",
@@ -37,7 +35,6 @@ _EXPORTS = {
         "null_subspace",
         "reciprocal_basis",
         "rho_b_split",
-        "second_order_basis",
         "sigma_basis",
         "sigma_components",
         "vec_pairing",

@@ -8,15 +8,12 @@ views are computed on demand through the exact change-of-basis matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import ClassVar, Sequence
 
 from . import linalg
 from .hyperspace import Subspace, Vecfor, _scalars, sigma_basis, span
-from .multivector import AlgebraContext, ContextMismatchError
+from .multivector import AlgebraContext, ContextMismatchError, ScalarLike
 from .scalar import ONE, ZERO, Scalar
-
-ScalarLike = Scalar | int | Fraction
 
 
 @dataclass(frozen=True)

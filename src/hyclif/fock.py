@@ -8,10 +8,10 @@ maps each subset vector e_s to one signed, sqrt2-scaled subset vector or to
 zero, read in closed form off the two masks; this module alone holds that
 sign rule.  A FockMatrix keeps the sparse rows of those entries, its products
 and its rank stay sparse, and the dense (grade, lex) matrix is built only for
-output.  The module also checks the doubled-space dimension count and the
-graded tensor split Cl(H_V) = Cl(V,b) (x) Cl(V,-b) for an arbitrary exact
-nondegenerate symmetric b.  The split is realized inside the
-algebra itself: the vecfors f_i = (e_i + sum_k b_ik t_k)/sqrt2 and
+output.  On a vecfor x, rep(x.to_multivector()) is the Clifford map.  The
+module also checks the graded tensor split Cl(H_V) = Cl(V,b) (x) Cl(V,-b)
+for an arbitrary exact nondegenerate symmetric b.  The split is realized
+inside the algebra itself: the vecfors f_i = (e_i + sum_k b_ik t_k)/sqrt2 and
 g_i = (e_i - sum_k b_ik t_k)/sqrt2 generate the two factors, and their
 products are the algebra's own gp, so no second Clifford algebra is built.
 """
@@ -140,13 +140,6 @@ def _rep_entries(terms: dict[int, Scalar], n: int) -> Iterator[tuple[int, int, S
                 yield s2, s, -v if odd else v
 
 
-def clifford_map_matrix(ctx: AlgebraContext, x: Vecfor) -> FockMatrix:
-    """Clifford map u -> sqrt2 (x_form _| u + x_vec ^ u); squares to <x,x> times the identity."""
-    if x.context is not ctx:
-        raise ValueError("vecfor belongs to a different context")
-    return rep(x.to_multivector())
-
-
 def rep(u: Multivector) -> FockMatrix:
     """Algebra map into End(/\\V): rep(uv) = rep(u) rep(v), rep(1) = identity."""
     return FockMatrix(u.context, _rep_entries(u.terms, u.context.dim_n))
@@ -175,14 +168,6 @@ def even_odd_block_structure(n: int) -> bool:
             if term is not None and (a.bit_count() + s.bit_count() + term[0].bit_count()) & 1:
                 return False
     return True
-
-
-def grandmother_dimension_check(n: int = 1) -> bool:
-    """Re-run the End iso on the doubled space: rank must be 16^n = (2^{2n})^2."""
-    if n < 1 or 2 * n > MAX_SPAN_DIM:
-        raise ValueError(f"doubled-space check is too large for n = {n}; use n <= {MAX_SPAN_DIM // 2}")
-    report = verify_end_iso(2 * n)
-    return report["rank"] == 1 << (4 * n) and report["is_isomorphism"]
 
 
 # -- graded tensor split -------------------------------------------------------

@@ -4,21 +4,18 @@ A vecfor x = x_vec (+) x_form pairs a vector of V with a linear form of V*;
 the neutral pairing is <x, y> = x_form(y_vec) + y_form(x_vec).  This module
 carries the classification, hyperbolic conjugation, the orthonormal sigma
 basis and its component formulas, the split onto (V,b) (+) (V,-b) for an
-arbitrary nondegenerate symmetric b, exact null-subspace calculus, the
-orientation element, and the second-order (doubled) space basis.
+arbitrary nondegenerate symmetric b, exact null-subspace calculus and the
+orientation element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .multivector import AlgebraContext, ContextMismatchError, Multivector, wedge
+from .multivector import AlgebraContext, ContextMismatchError, Multivector, ScalarLike, wedge
 from .scalar import INV_SQRT2, ONE, ZERO, Scalar
-
-ScalarLike = Scalar | int | Fraction
 
 
 def _scalars(values: Iterable[ScalarLike]) -> tuple[Scalar, ...]:
@@ -405,38 +402,3 @@ def orientation_from_dual_pair(ctx: AlgebraContext, basis_rows: Sequence[Sequenc
     e_vecs = [Vecfor(ctx, tuple(r), tuple([ZERO] * n)).to_multivector() for r in rows]
     t_vecs = [Vecfor(ctx, tuple([ZERO] * n), tuple(r)).to_multivector() for r in dual]
     return wedge_all(e_vecs + t_vecs)
-
-
-# -- second-order (doubled) hyperbolic space --------------------------------------
-
-
-def second_order_basis(ctx: AlgebraContext) -> list[tuple[Scalar, ...]]:
-    """Orthonormal basis of the doubled space as 4n-coordinate vectors over
-    (sigma_k; sigma^k); Gram is diag(+1 x 2n, -1 x 2n)."""
-    m = 2 * ctx.dim_n
-    out = []
-    for k in range(m):
-        row = [ZERO] * (2 * m)
-        row[k] = INV_SQRT2
-        row[m + k] = INV_SQRT2
-        out.append(tuple(row))
-    for k in range(m):
-        row = [ZERO] * (2 * m)
-        row[k] = -INV_SQRT2
-        row[m + k] = INV_SQRT2
-        out.append(tuple(row))
-    return out
-
-
-def second_order_pairing(ctx: AlgebraContext, u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    """Neutral pairing of the doubled space in (sigma_k; sigma^k) coordinates."""
-    m = 2 * ctx.dim_n
-    if len(u) != 2 * m or len(v) != 2 * m:
-        raise ValueError("expected 4n coordinates")
-    out = ZERO
-    for k in range(m):
-        if u[m + k] and v[k]:
-            out = out + u[m + k] * v[k]
-        if v[m + k] and u[k]:
-            out = out + v[m + k] * u[k]
-    return out

@@ -155,8 +155,18 @@ def solve(m: Sequence[Sequence[Scalar]], b: Sequence[Scalar]) -> Optional[Vector
     return x
 
 
-def inverse(m: Sequence[Sequence[Scalar]]) -> Matrix:
+def _square_size(m: Sequence[Sequence[Scalar]]) -> int:
+    """n for an n x n matrix; raises ValueError naming a row that is not n long."""
     n = len(m)
+    for i, row in enumerate(m):
+        if len(row) != n:
+            raise ValueError(f"expected a square matrix: row {i} of {n} has length {len(row)}")
+    return n
+
+
+def inverse(m: Sequence[Sequence[Scalar]]) -> Matrix:
+    """The exact inverse; raises ValueError unless m is square, ZeroDivisionError if singular."""
+    n = _square_size(m)
     eye = identity(n)
     rows = _rref([list(row) + eye[i] for i, row in enumerate(m)])
     if sorted(rows) != list(range(n)):
@@ -170,7 +180,9 @@ def determinant(m: Sequence[Sequence[Scalar]]) -> Scalar:
     Reduced row i vanishes at the earlier pivots, so with the columns put in
     pivot order the reduced rows are triangular: the sign is that of the
     pivot permutation, one flip per earlier pivot to the right of the new one.
+    Raises ValueError unless m is square.
     """
+    _square_size(m)
     rows: dict[int, SparseRow] = {}
     det = ONE
     for i, row in enumerate(m):

@@ -23,21 +23,17 @@ large n most of them, since a pair e e or t t alone already kills a b.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator
 
 from .scalar import ONE, ZERO, Scalar, format_scalar
 
 MAX_DIM = 14  # masks fit in 28 bits, the width _odd_swaps covers
 
-ScalarLike = Union[Scalar, int, Fraction]
+ScalarLike = Scalar | int | Fraction
 
 
 class ContextMismatchError(ValueError):
     """Raised when operands belong to different algebra contexts."""
-
-
-def grade_of(mask: int) -> int:
-    return mask.bit_count()
 
 
 def _odd_swaps(a: int, b: int) -> int:
@@ -289,7 +285,7 @@ class Multivector:
         return bool(self.terms)
 
     def grades(self) -> set[int]:
-        return {grade_of(m) for m in self.terms}
+        return {m.bit_count() for m in self.terms}
 
     def coeff(self, mask: int) -> Scalar:
         return self.terms.get(mask, ZERO)
@@ -399,23 +395,23 @@ class Multivector:
         if not 0 <= r <= self.context.num_generators:
             raise ValueError(f"grade out of range 0..{self.context.num_generators}: {r}")
         return _owned(
-            self.context, {m: c for m, c in self.terms.items() if grade_of(m) == r}
+            self.context, {m: c for m, c in self.terms.items() if m.bit_count() == r}
         )
 
     def even_part(self) -> Multivector:
         return _owned(
-            self.context, {m: c for m, c in self.terms.items() if not grade_of(m) & 1}
+            self.context, {m: c for m, c in self.terms.items() if not m.bit_count() & 1}
         )
 
     def odd_part(self) -> Multivector:
         return _owned(
-            self.context, {m: c for m, c in self.terms.items() if grade_of(m) & 1}
+            self.context, {m: c for m, c in self.terms.items() if m.bit_count() & 1}
         )
 
     def _signed(self, sign_of_grade) -> Multivector:
         return _owned(
             self.context,
-            {m: (c if sign_of_grade(grade_of(m)) > 0 else -c) for m, c in self.terms.items()},
+            {m: (c if sign_of_grade(m.bit_count()) > 0 else -c) for m, c in self.terms.items()},
         )
 
     def grade_involution(self) -> Multivector:

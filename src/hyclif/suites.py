@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Optional
 
 from . import linalg, multivector
@@ -32,9 +31,7 @@ from .endo import (
 from .exprparse import evaluate, parse
 from .fock import (
     MAX_SPAN_DIM,
-    clifford_map_matrix,
     even_odd_block_structure,
-    grandmother_dimension_check,
     rep,
     tensor_split_check,
     verify_end_iso,
@@ -52,8 +49,6 @@ from .hyperspace import (
     orientation_from_dual_pair,
     reciprocal_basis,
     rho_b_pairing,
-    second_order_basis,
-    second_order_pairing,
     sigma_basis,
     sigma_components,
     sigma_image_basis,
@@ -533,13 +528,6 @@ def _prod_tensor_split_random(ctx, rng):
     return None
 
 
-@identity("products", "doubled space realizes End of the whole algebra", per_trial=False, max_n=1)
-def _prod_grandmother(ctx, rng):
-    if not grandmother_dimension_check(ctx.dim_n):
-        return "doubled-space rank mismatch"
-    return None
-
-
 # ---- hodge suite ---------------------------------------------------------------------
 
 
@@ -746,13 +734,6 @@ def _witt_orientation_invariance(ctx, rng):
     if orientation_from_dual_pair(ctx, a) != ctx.orientation():
         return f"rebuilt orientation differs for A = {[[str(x) for x in row] for row in a]}"
     return None
-
-
-@identity("witt", "doubled-space basis Gram is diag(+1^2n, -1^2n)", per_trial=False)
-def _witt_second_order(ctx, rng):
-    m, pair = 2 * ctx.dim_n, partial(second_order_pairing, ctx)
-    names = [f"S{k}" for k in range(1, 2 * m + 1)]
-    return _table_mismatch(names, second_order_basis(ctx), pair, _signed_diag(m))
 
 
 @identity("witt", "null-subspace calculus laws")
@@ -1036,7 +1017,7 @@ def _ideal_module_action(ctx, rng):
 def _ideal_conjugation(ctx, rng):
     # both sides are linear in x, so equality on the 2n generators proves it for every vecfor
     for x in witt_basis(ctx):
-        if conjugated_module_action(ctx, x) != clifford_map_matrix(ctx, x):
+        if conjugated_module_action(ctx, x) != rep(x.to_multivector()):
             return _fail("D (module action) D^-1 != Clifford map", x=x)
     return None
 

@@ -57,7 +57,7 @@ def test_check_passes(capsys):
     assert "all identities hold" in out
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_check_report_matches_golden(capsys, n):
     code, out, _ = run_main(capsys, "--dim", str(n), "check", "--suite", "all", "--trials", "3", "--seed", "42")
     assert code == EXIT_OK

@@ -7,10 +7,8 @@ from test_linalg import dense_rank
 from hyclif import linalg
 from hyclif.fock import (
     FockMatrix,
-    clifford_map_matrix,
     even_odd_block_structure,
     fock_basis,
-    grandmother_dimension_check,
     rep,
     tensor_split_check,
     verify_end_iso,
@@ -27,9 +25,9 @@ def test_fock_basis_order():
 
 
 def test_clifford_map_matrices(ctx1):
-    m_e1 = clifford_map_matrix(ctx1, Vecfor(ctx1, (ONE,), (ZERO,)))
+    m_e1 = rep(Vecfor(ctx1, (ONE,), (ZERO,)).to_multivector())
     assert m_e1.entries == ((ZERO, ZERO), (SQRT2, ZERO))
-    m_t1 = clifford_map_matrix(ctx1, Vecfor(ctx1, (ZERO,), (ONE,)))
+    m_t1 = rep(Vecfor(ctx1, (ZERO,), (ONE,)).to_multivector())
     assert m_t1.entries == ((ZERO, SQRT2), (ZERO, ZERO))
 
 
@@ -38,15 +36,15 @@ def test_clifford_map_squares_to_pairing(n, rng):
     ctx = AlgebraContext(n)
     for _ in range(25):
         x = random_vecfor(ctx, rng)
-        m = clifford_map_matrix(ctx, x)
+        m = rep(x.to_multivector())
         assert m * m == rep(ctx.scalar(vec_pairing(x, x)))
 
 
 def test_clifford_map_linear_in_x(ctx2, rng):
     for _ in range(10):
         x, y = random_vecfor(ctx2, rng), random_vecfor(ctx2, rng)
-        lhs = clifford_map_matrix(ctx2, x + y)
-        mx, my = clifford_map_matrix(ctx2, x), clifford_map_matrix(ctx2, y)
+        lhs = rep((x + y).to_multivector())
+        mx, my = rep(x.to_multivector()), rep(y.to_multivector())
         assert lhs.entries == tuple(
             tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(mx.entries, my.entries)
         )
@@ -100,13 +98,6 @@ def test_verify_end_iso_guard():
 @pytest.mark.parametrize("n", [1, 2])
 def test_even_odd_block_structure(n):
     assert even_odd_block_structure(n)
-
-
-def test_grandmother():
-    assert grandmother_dimension_check(1) is True
-    assert grandmother_dimension_check(2) is True
-    with pytest.raises(ValueError, match="n <= 3"):
-        grandmother_dimension_check(4)
 
 
 def test_tensor_split(ctx1, ctx2, ctx3, rng):

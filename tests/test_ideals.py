@@ -4,7 +4,7 @@ import pytest
 from test_linalg import dense_rank, dense_row_echelon
 
 from hyclif import linalg
-from hyclif.fock import clifford_map_matrix, rep
+from hyclif.fock import rep
 from hyclif.ideals import (
     conjugated_module_action,
     ideal_span,
@@ -213,7 +213,7 @@ def test_grade_scaling_conjugation(n, rng):
     ctx = AlgebraContext(n)
     for _ in range(15):
         x = random_vecfor(ctx, rng)
-        assert conjugated_module_action(ctx, x) == clifford_map_matrix(ctx, x)
+        assert conjugated_module_action(ctx, x) == rep(x.to_multivector())
 
 
 def test_theta_only_wedge_closure(ctx2, rng):

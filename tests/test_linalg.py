@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hyclif import linalg
-from hyclif.hyperspace import Subspace, span
+from hyclif.hyperspace import Subspace, orientation_from_dual_pair, span
 from hyclif.multivector import AlgebraContext
 from hyclif.scalar import ONE, ZERO, Scalar
 
@@ -194,6 +194,25 @@ def test_inverse_and_det():
     assert linalg.determinant(m([[1, 2], [2, 4]])) == ZERO
     with pytest.raises(ZeroDivisionError):
         linalg.inverse(m([[1, 2], [2, 4]]))
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 0], [0, 1, 0]],  # inverse was [[0, 1], [0, 0]] and determinant 1
+    [[1, 2], [3]],  # determinant was -6
+    [[1], [0]],
+])
+def test_inverse_and_det_reject_non_square_matrices(rows):
+    with pytest.raises(ValueError, match="square"):
+        linalg.inverse(m(rows))
+    with pytest.raises(ValueError, match="square"):
+        linalg.determinant(m(rows))
+
+
+def test_orientation_rejects_a_row_of_the_wrong_length():
+    ctx = AlgebraContext(2)
+    for rows in ([[1, 0], [0, 1, 0]], [[1, 0], [1]]):
+        with pytest.raises(ValueError, match="square"):
+            orientation_from_dual_pair(ctx, m(rows))
 
 
 def test_det_with_sqrt2_entries():

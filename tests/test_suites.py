@@ -1,8 +1,16 @@
+import pathlib
+import re
 from fractions import Fraction
 
 import pytest
 
 from hyclif.suites import IDENTITIES, SUITE_NAMES, run_suite, suite_identities
+
+
+def test_readme_law_count_matches_the_registry():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    laws = sum(ident.text is not None for ident in IDENTITIES)
+    assert re.findall(r"\((\d+) of the (\d+)\)", readme) == [(str(laws), str(len(IDENTITIES)))]
 
 
 def test_unknown_suite():
@@ -65,7 +73,7 @@ def test_all_suites_green_above_n3(n):
     report = run_suite("all", n, trials=2)
     assert report.passed, report.render()
     skipped = [line for line in report.lines if line.startswith("SKIP")]
-    assert len(skipped) == 2, skipped  # only the random-form split and the doubled space
+    assert len(skipped) == 1, skipped  # only the random-form split
 
 
 def test_random_symmetric_form_eliminates_once(monkeypatch):
