@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from . import multivector as _mv
 from .hyperspace import sigma_vector
 from .multivector import AlgebraContext, Multivector, _owned, _require_same_context
-from .scalar import Scalar, format_scalar
+from .scalar import Scalar, _make, format_scalar
 
 
 class ParseError(ValueError):
@@ -253,8 +253,8 @@ class _Parser:
             raise ParseError("zero denominator", tok.line, tok.col)
         if self.tokens[self.pos].kind == "R2":
             self.pos += 1
-            return Scalar._make(0, int(num), r)
-        return Scalar._make(int(num), 0, r)
+            return _make(0, int(num), r)
+        return _make(int(num), 0, r)
 
     def _maybe_juxtapose(self, lit: Lit) -> Expr:
         tok = self.tokens[self.pos]

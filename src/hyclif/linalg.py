@@ -104,6 +104,9 @@ def _sub_multiple(dst: SparseRow, c: Scalar, src: SparseRow) -> None:
 
 
 def _rref(m: Sequence[Sequence[Scalar]]) -> dict[int, SparseRow]:
+    """The RREF rows of m; raises ValueError naming a row not as long as the first."""
+    if m:
+        _check_width(m, len(m[0]), "rectangular")
     rows: dict[int, SparseRow] = {}
     for row in m:
         sparse_insert(rows, sparse_row(row))
@@ -111,7 +114,10 @@ def _rref(m: Sequence[Sequence[Scalar]]) -> dict[int, SparseRow]:
 
 
 def row_echelon(m: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form, zero rows last, and the pivot column list (exact)."""
+    """Reduced row echelon form, zero rows last, and the pivot column list (exact).
+
+    Like rank and kernel_basis, raises ValueError if the rows differ in length.
+    """
     if not m:
         return [], []
     cols = len(m[0])
@@ -142,7 +148,12 @@ def kernel_basis(m: Sequence[Sequence[Scalar]]) -> list[Vector]:
 
 
 def solve(m: Sequence[Sequence[Scalar]], b: Sequence[Scalar]) -> Optional[Vector]:
-    """One exact solution of m x = b, or None if inconsistent."""
+    """One exact solution of m x = b, or None if inconsistent.
+
+    Raises ValueError unless b has one entry per row of m.
+    """
+    if len(b) != len(m):
+        raise ValueError(f"a right-hand side of length {len(b)} for {len(m)} rows")
     if not m:
         return [] if all(not x for x in b) else None
     cols = len(m[0])
@@ -155,18 +166,19 @@ def solve(m: Sequence[Sequence[Scalar]], b: Sequence[Scalar]) -> Optional[Vector
     return x
 
 
-def _square_size(m: Sequence[Sequence[Scalar]]) -> int:
-    """n for an n x n matrix; raises ValueError naming a row that is not n long."""
-    n = len(m)
+def _check_width(m: Sequence[Sequence[Scalar]], width: int, shape: str) -> int:
+    """width; raises ValueError naming the first row of m that is not width long."""
     for i, row in enumerate(m):
-        if len(row) != n:
-            raise ValueError(f"expected a square matrix: row {i} of {n} has length {len(row)}")
-    return n
+        if len(row) != width:
+            raise ValueError(
+                f"expected a {shape} matrix: row {i} of {len(m)} has length {len(row)}, not {width}"
+            )
+    return width
 
 
 def inverse(m: Sequence[Sequence[Scalar]]) -> Matrix:
     """The exact inverse; raises ValueError unless m is square, ZeroDivisionError if singular."""
-    n = _square_size(m)
+    n = _check_width(m, len(m), "square")
     eye = identity(n)
     rows = _rref([list(row) + eye[i] for i, row in enumerate(m)])
     if sorted(rows) != list(range(n)):
@@ -182,7 +194,7 @@ def determinant(m: Sequence[Sequence[Scalar]]) -> Scalar:
     pivot permutation, one flip per earlier pivot to the right of the new one.
     Raises ValueError unless m is square.
     """
-    _square_size(m)
+    _check_width(m, len(m), "square")
     rows: dict[int, SparseRow] = {}
     det = ONE
     for i, row in enumerate(m):

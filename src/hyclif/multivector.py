@@ -8,16 +8,18 @@ blade masks to Scalars.
 
 The Witt basis splits V + V* into n hyperbolic pairs (e_i, t_i), so the
 algebra is the graded tensor product of n copies of Cl(1,1).  Blade products
-are therefore computed in closed form, pair by pair, straight from the two
-masks; nothing is memoized.  The contractions are grade parts of that product
+are therefore computed in closed form straight from the two masks; nothing is
+memoized.  The contractions are grade parts of that product
 (a _| b = <ab>_{|b|-|a|}, a |_ b = <ab>_{|a|-|b|}), and the pairing of two
 blades is a sign read off the masks.
 
-Each product has one row kernel, which multiplies one blade of u by every
-blade of v.  Both operands are split once per product into their e- and
-t-halves and the reorder parity between the two, and the kernel's first step
-per blade pair is a mask test that rejects the pairs whose product is 0: at
-large n most of them, since a pair e e or t t alone already kills a b.
+Each product (gp, lcontract, rcontract, wedge) is one loop over the blade
+pairs of its operands that rejects, signs and accumulates each pair in a
+single pass.  Its first step per pair is a mask test that rejects the pairs
+whose product is 0: at large n most of them, since a pair e e or t t alone
+already kills a b.  The reorder signs are popcounts against parity masks
+computed once per blade of the outer operand (and, in gp, once per pair), so
+no Python helper runs per pair or per term.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Iterator
 
 from .scalar import ONE, ZERO, Scalar, format_scalar
 
-MAX_DIM = 14  # masks fit in 28 bits, the width _odd_swaps covers
+MAX_DIM = 14  # masks fit in 28 bits; _above and _below cover 32
 
 ScalarLike = Scalar | int | Fraction
 
@@ -36,12 +38,10 @@ class ContextMismatchError(ValueError):
     """Raised when operands belong to different algebra contexts."""
 
 
-def _odd_swaps(a: int, b: int) -> int:
-    """Parity of the pairs (i in a, j in b) with i > j.
+def _above(a: int) -> int:
+    """The mask whose bit j is the parity of the bits of a above j.
 
-    This is the sign exponent of sorting the concatenation of blades a and b
-    into mask order.  Bit j of the suffix xor of a >> 1 is the parity of the
-    bits of a above j; the shifts cover 32 bits.
+    The suffix xor of a >> 1; its shifts cover masks of up to 32 bits.
     """
     s = a >> 1
     s ^= s >> 1
@@ -49,105 +49,30 @@ def _odd_swaps(a: int, b: int) -> int:
     s ^= s >> 4
     s ^= s >> 8
     s ^= s >> 16
-    return (s & b).bit_count() & 1
+    return s
 
 
-def _witt_factors(
-    ae: int, at: int, sa: int, be: int, bt: int, sb: int
-) -> tuple[int, int, int, int, int]:
-    """The blade product a b factored over the Witt pairs.
+def _below(a: int) -> int:
+    """The mask whose bit j is the parity of the bits of a below j.
 
-    a and b come split into their e-halves ae, be and t-halves at, bt (bit
-    k-1 of each half for pair k), with sa = _odd_swaps(ae, at) and sb likewise.
-    The caller has already rejected the pairs whose product is 0, those with a
-    pair e e or t t and nothing else there.
-
-    Reordered into pair order (e1 t1 e2 t2 ...), a b is the graded product of
-    one Cl(1,1) product per pair, on the basis {1, e, t, E = e ^ t}:
-
-        e e = t t = 0,  e t = 1 + E,  t e = 1 - E,
-        e E = -e,  t E = t,  E e = e,  E t = -t,  E E = 1.
-
-    Returns (re, rt, fork, te, odd).  `fork` holds the pairs e t and t e, the
-    only ones with two terms, and `te` the t e among them.  Contracting a
-    subset s of fork to 1 gives the term with e-bits re ^ s and t-bits rt ^ s
-    (E kept on the rest of fork), of sign exponent
-    odd + |te - s| + _odd_swaps(re ^ s, rt ^ s).
+    The prefix xor of a << 1; its shifts cover masks of up to 32 bits.
     """
-    # a pair keeps e where a and b hold more e's than t's there, t likewise,
-    # and E where they hold one of each
-    x, y = ae ^ be, at ^ bt
-    e2, t2 = ae & be, at & bt
-    re = (x & ~t2) | (e2 & y)
-    rt = (y & ~e2) | (t2 & x)
-    fork = x & y & ~(ae & at) & ~(be & bt)
-    te = fork & at
-    # a and b to pair order, b's pairs past a's later pairs, e E and E t
-    odd = sa + sb + _odd_swaps(ae ^ at, be ^ bt) + (ae & bt & (at ^ be)).bit_count()
-    return re, rt, fork, te, odd
+    s = a << 1
+    s ^= s << 1
+    s ^= s << 2
+    s ^= s << 4
+    s ^= s << 8
+    s ^= s << 16
+    return s
 
 
-# The row kernels multiply one split blade a = (ae, at, sa) by every split term
-# (be, bt, sb, cb) of the other operand.  Each tests first, on the masks alone,
-# whether the blade pair's product is 0, and yields (cb, terms) for the others,
-# every term a (mask, odd) pair of a blade and its sign parity.
+def _odd_swaps(a: int, b: int) -> int:
+    """Parity of the pairs (i in a, j in b) with i > j.
 
-
-def _product_row(ae: int, at: int, sa: int, vs: list, n: int) -> Iterator[tuple[Scalar, list]]:
-    """Rows of the geometric product: a pair e e or t t alone makes a b = 0."""
-    for be, bt, sb, cb in vs:
-        if ae & be & ~(at | bt) or at & bt & ~(ae | be):
-            continue
-        re, rt, fork, te, odd = _witt_factors(ae, at, sa, be, bt, sb)
-        terms = []
-        s = fork
-        while True:  # every subset s of fork
-            e, t = re ^ s, rt ^ s
-            terms.append((e | t << n, (odd + (te & ~s).bit_count() + _odd_swaps(e, t)) & 1))
-            if not s:
-                break
-            s = (s - 1) & fork
-        yield cb, terms
-
-
-def _contracted(ae: int, at: int, sa: int, be: int, bt: int, sb: int, n: int) -> tuple[int, int]:
-    """The term of a b with every fork pair contracted, the only one of lowest grade."""
-    re, rt, fork, _, odd = _witt_factors(ae, at, sa, be, bt, sb)
-    e, t = re ^ fork, rt ^ fork
-    return e | t << n, (odd + _odd_swaps(e, t)) & 1
-
-
-def _left_row(ae: int, at: int, sa: int, vs: list, n: int) -> Iterator[tuple[Scalar, tuple]]:
-    """Rows of a _| b = <ab>_{|b|-|a|}.
-
-    Each pair i contributes grades of at least |b_i| - |a_i| to a b, so a _| b
-    is the product of the lowest terms of all pairs and is nonzero iff each
-    pair reaches |b_i| - |a_i|: iff each e of a meets a t of b and each t of a
-    an e of b.
+    This is the sign exponent of sorting the concatenation of blades a and b
+    into mask order.
     """
-    for be, bt, sb, cb in vs:
-        if ae & ~bt or at & ~be:
-            continue
-        yield cb, (_contracted(ae, at, sa, be, bt, sb, n),)
-
-
-def _right_row(ae: int, at: int, sa: int, vs: list, n: int) -> Iterator[tuple[Scalar, tuple]]:
-    """Rows of a |_ b = <ab>_{|a|-|b|}, the mirror of _left_row: nonzero iff
-    each e of b meets a t of a and each t of b an e of a."""
-    for be, bt, sb, cb in vs:
-        if be & ~at or bt & ~ae:
-            continue
-        yield cb, (_contracted(ae, at, sa, be, bt, sb, n),)
-
-
-def _wedge_row(ae: int, at: int, sa: int, vs: list, n: int) -> Iterator[tuple[Scalar, tuple]]:
-    """Rows of the wedge: overlapping blades annihilate, disjoint ones merge."""
-    a = ae | at << n
-    for be, bt, _, cb in vs:
-        if ae & be or at & bt:
-            continue
-        b = be | bt << n
-        yield cb, ((a | b, _odd_swaps(a, b)),)
+    return (_above(a) & b).bit_count() & 1
 
 
 class AlgebraContext:
@@ -460,50 +385,206 @@ def _owned(context: AlgebraContext, terms: dict[int, Scalar]) -> Multivector:
 
 
 # -- the operations -------------------------------------------------------------
+#
+# A product adds the terms of each blade pair that its mask test keeps to the
+# dict acc, and a term that cancels leaves acc at once, so no zero is stored.
 
 
-def _split(u: Multivector) -> list[tuple[int, int, int, Scalar]]:
-    """The terms of u as (e-half, t-half, _odd_swaps(e-half, t-half), coefficient)."""
+def _split(u: Multivector) -> list[tuple[int, int, int, int, int, Scalar]]:
+    """The terms of u as (e-half, t-half, e-only, t-only, reorder count, coefficient).
+
+    Bit k-1 of each half is pair k.  The e-only mask holds the pairs where the
+    blade has e_k and not t_k, the t-only mask the reverse, and the reorder
+    count has the parity _odd_swaps(e-half, t-half).
+    """
     n = u.context.dim_n
     low = (1 << n) - 1
     out = []
     for m, c in u.terms.items():
         e, t = m & low, m >> n
-        out.append((e, t, _odd_swaps(e, t), c))
+        out.append((e, t, e & ~t, t & ~e, (_above(e) & t).bit_count(), c))
     return out
 
 
-def _extend(u: Multivector, v: Multivector, row) -> Multivector:
-    """Bilinear extension of a blade-level product given by its row kernel."""
+def gp(u: Multivector, v: Multivector) -> Multivector:
+    """Geometric (Clifford) product, associative extension of x u = x _| u + x ^ u.
+
+    The Witt basis splits V + V* into n hyperbolic pairs, so a blade product
+    a b reordered into pair order (e1 t1 e2 t2 ...) is the graded product of
+    one Cl(1,1) product per pair, on the basis {1, e, t, E = e ^ t}:
+
+        e e = t t = 0,  e t = 1 + E,  t e = 1 - E,
+        e E = -e,  t E = t,  E e = e,  E t = -t,  E E = 1.
+
+    So a b = 0 iff some pair is e e or t t alone.  Otherwise a pair keeps e
+    where a and b hold more e's than t's there, t likewise, and E where they
+    hold one of each; the pairs e t and t e (fork) have the two terms 1 and
+    +-E.  Contracting a subset s of fork to 1 gives the term with e-half
+    re ^ s and t-half rt ^ s.  Its sign exponent is
+
+        odd + |te - s| + _odd_swaps(re ^ s, rt ^ s)
+          = base + |s & (w ^ te)| + C(|s|, 2),
+
+    where odd takes a and b to pair order and back, te is the t e pairs, base
+    is the exponent at s = 0, and bit k of w is the parity of the bits of rt
+    below k xor that of the bits of re above k.
+    """
     _require_same_context(u, v)
     ctx = u.context
     n = ctx.dim_n
     vs = _split(v)
     acc: dict[int, Scalar] = {}
-    for ae, at, sa, ca in _split(u):
-        for cb, terms in row(ae, at, sa, vs, n):
+    for ae, at, aeo, ato, sa, ca in _split(u):
+        ha = _above(ae ^ at)
+        for be, bt, beo, bto, sb, cb in vs:
+            if aeo & beo or ato & bto:
+                continue
+            x, y = ae ^ be, at ^ bt
+            e2, t2 = ae & be, at & bt
+            re = (x & ~t2) | (e2 & y)
+            rt = (y & ~e2) | (t2 & x)
+            te = ato & beo
+            fork = aeo & bto | te
+            # _above(re) inline, its shifts covering the n <= 14 bits of a half
+            hr = re >> 1
+            hr ^= hr >> 1
+            hr ^= hr >> 2
+            hr ^= hr >> 4
+            hr ^= hr >> 8
+            # a and b to pair order, b's pairs past a's later pairs, e E and E t,
+            # then the s = 0 term back to mask order; only the parity of the sum
+            # of the three popcounts counts, and that is the popcount of their xor
+            odd = sa + sb + ((ha & (be ^ bt)) ^ (ae & bt & (at ^ be)) ^ (hr & rt)).bit_count()
+            w = 0
+            if fork:
+                odd += te.bit_count()
+                lr = rt << 1  # bit k: the parity of the bits of rt below k
+                lr ^= lr << 1
+                lr ^= lr << 2
+                lr ^= lr << 4
+                lr ^= lr << 8
+                w = lr ^ hr ^ te  # the docstring's w ^ te
             cab = ca * cb  # nonzero, as ca and cb are
             neg = None
-            for m, odd in terms:
-                prev = acc.get(m)
-                if prev is not None:  # a cancelled term leaves at once
-                    prev = prev - cab if odd else prev + cab
-                    if prev:
-                        acc[m] = prev
-                    else:
-                        del acc[m]
-                elif not odd:
-                    acc[m] = cab
-                else:
+            r = re | rt << n
+            s = fork
+            while True:  # every subset s of fork; C(k, 2) is odd iff k & 2
+                m = r ^ (s | s << n)
+                if (odd + (s & w).bit_count() + (s.bit_count() >> 1)) & 1:
                     if neg is None:
                         neg = -cab
-                    acc[m] = neg
+                    c = neg
+                else:
+                    c = cab
+                prev = acc.get(m)
+                if prev is None:
+                    acc[m] = c
+                elif prev := prev + c:
+                    acc[m] = prev
+                else:
+                    del acc[m]
+                if not s:
+                    break
+                s = (s - 1) & fork
+    return _owned(ctx, acc)
+
+
+def lcontract(u: Multivector, v: Multivector) -> Multivector:
+    """Left contraction u _| v = <uv>_{|v|-|u|} (adjoint of the wedge in the first slot).
+
+    For blades, (a1 ^ a2) _| b = a1 _| (a2 _| b), and a generator x takes its
+    Witt dual out of b with the sign of the generators of b below it.  So
+    a _| b is nonzero iff b holds the Witt dual d of a (e_k <-> t_k): iff each
+    e of a meets a t of b and each t of a an e of b.  Then it is the blade
+    b ^ d with sign exponent |a_e| |a_t| + _odd_swaps(d, b), where |a_e| |a_t|
+    counts the pairs of a whose duals come in the other order.
+    """
+    _require_same_context(u, v)
+    ctx = u.context
+    n = ctx.dim_n
+    low = ctx.e_star_mask
+    vt = v.terms
+    acc: dict[int, Scalar] = {}
+    for ma, ca in u.terms.items():
+        ae, at = ma & low, ma >> n
+        d = at | ae << n
+        hd = _above(d)
+        odd = ae.bit_count() * at.bit_count()
+        for mb, cb in vt.items():
+            if d & ~mb:
+                continue
+            m = mb ^ d
+            c = -(ca * cb) if (odd + (hd & mb).bit_count()) & 1 else ca * cb
+            prev = acc.get(m)
+            if prev is None:
+                acc[m] = c
+            elif prev := prev + c:
+                acc[m] = prev
+            else:
+                del acc[m]
+    return _owned(ctx, acc)
+
+
+def rcontract(u: Multivector, v: Multivector) -> Multivector:
+    """Right contraction u |_ v = <uv>_{|u|-|v|} (adjoint of the wedge in the second slot).
+
+    The mirror of lcontract: a |_ (b1 ^ b2) = (a |_ b1) |_ b2, and a generator
+    x takes its Witt dual out of a with the sign of the generators of a above
+    it.  So a |_ b is nonzero iff a holds the Witt dual d of b, and then it is
+    the blade a ^ d with sign exponent |b_e| |b_t| + _odd_swaps(a, d).  The
+    loop runs over the blades of v outside, to compute d once per blade.
+    """
+    _require_same_context(u, v)
+    ctx = u.context
+    n = ctx.dim_n
+    low = ctx.e_star_mask
+    ut = u.terms
+    acc: dict[int, Scalar] = {}
+    for mb, cb in v.terms.items():
+        be, bt = mb & low, mb >> n
+        d = bt | be << n
+        ld = _below(d)
+        odd = be.bit_count() * bt.bit_count()
+        for ma, ca in ut.items():
+            if d & ~ma:
+                continue
+            m = ma ^ d
+            c = -(ca * cb) if (odd + (ld & ma).bit_count()) & 1 else ca * cb
+            prev = acc.get(m)
+            if prev is None:
+                acc[m] = c
+            elif prev := prev + c:
+                acc[m] = prev
+            else:
+                del acc[m]
     return _owned(ctx, acc)
 
 
 def wedge(u: Multivector, v: Multivector) -> Multivector:
-    """Exterior product; overlapping blades annihilate, disjoint ones merge."""
-    return _extend(u, v, _wedge_row)
+    """Exterior product; overlapping blades annihilate, disjoint ones merge.
+
+    The merged blade a | b has the sign of sorting a's generators past b's,
+    _odd_swaps(a, b).
+    """
+    _require_same_context(u, v)
+    ctx = u.context
+    vt = v.terms
+    acc: dict[int, Scalar] = {}
+    for ma, ca in u.terms.items():
+        ha = _above(ma)
+        for mb, cb in vt.items():
+            if ma & mb:
+                continue
+            m = ma | mb
+            c = -(ca * cb) if (ha & mb).bit_count() & 1 else ca * cb
+            prev = acc.get(m)
+            if prev is None:
+                acc[m] = c
+            elif prev := prev + c:
+                acc[m] = prev
+            else:
+                del acc[m]
+    return _owned(ctx, acc)
 
 
 def bilinear(u: Multivector, v: Multivector) -> Scalar:
@@ -522,21 +603,6 @@ def bilinear(u: Multivector, v: Multivector) -> Scalar:
             c = ca * cb
             out = out + (-c if ((ma & low).bit_count() * (ma >> n).bit_count()) & 1 else c)
     return out
-
-
-def lcontract(u: Multivector, v: Multivector) -> Multivector:
-    """Left contraction u _| v (adjoint of the wedge in the first slot)."""
-    return _extend(u, v, _left_row)
-
-
-def rcontract(u: Multivector, v: Multivector) -> Multivector:
-    """Right contraction u |_ v (adjoint of the wedge in the second slot)."""
-    return _extend(u, v, _right_row)
-
-
-def gp(u: Multivector, v: Multivector) -> Multivector:
-    """Geometric (Clifford) product, associative extension of x u = x _| u + x ^ u."""
-    return _extend(u, v, _product_row)
 
 
 def hodge(u: Multivector) -> Multivector:

@@ -48,22 +48,6 @@ class Scalar:
         _set_q(self, q // g)
         _set_r(self, den // g)
 
-    @classmethod
-    def _make(cls, p: int, q: int, r: int) -> Scalar:
-        # fast path: build from raw integers, normalizing sign and gcd
-        if r < 0:
-            p, q, r = -p, -q, -r
-        g = gcd(p, q, r)
-        if g > 1:
-            p //= g
-            q //= g
-            r //= g
-        self = object.__new__(cls)
-        _set_p(self, p)
-        _set_q(self, q)
-        _set_r(self, r)
-        return self
-
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Scalar is immutable")
 
@@ -114,7 +98,10 @@ class Scalar:
         o = other if type(other) is Scalar else self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar._make(self.p * o.r + o.p * self.r, self.q * o.r + o.q * self.r, self.r * o.r)
+        r, ro = self.r, o.r
+        if r == ro:
+            return _make(self.p + o.p, self.q + o.q, r)
+        return _make(self.p * ro + o.p * r, self.q * ro + o.q * r, r * ro)
 
     __radd__ = __add__
 
@@ -122,7 +109,10 @@ class Scalar:
         o = other if type(other) is Scalar else self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar._make(self.p * o.r - o.p * self.r, self.q * o.r - o.q * self.r, self.r * o.r)
+        r, ro = self.r, o.r
+        if r == ro:
+            return _make(self.p - o.p, self.q - o.q, r)
+        return _make(self.p * ro - o.p * r, self.q * ro - o.q * r, r * ro)
 
     def __rsub__(self, other: object) -> Scalar:
         o = self._coerce(other)
@@ -141,13 +131,13 @@ class Scalar:
         if type(other) is Scalar:
             o = other
         elif isinstance(other, int):
-            return Scalar._make(self.p * other, self.q * other, self.r)
+            return _make(self.p * other, self.q * other, self.r)
         else:
             o = self._coerce(other)
             if o is None:
                 return NotImplemented
         # (p1 + q1 s)(p2 + q2 s) = p1 p2 + 2 q1 q2 + (p1 q2 + q1 p2) s
-        return Scalar._make(
+        return _make(
             self.p * o.p + 2 * self.q * o.q,
             self.p * o.q + self.q * o.p,
             self.r * o.r,
@@ -160,7 +150,9 @@ class Scalar:
         norm = self.p * self.p - 2 * self.q * self.q
         if norm == 0:
             raise ZeroDivisionError("Scalar zero has no inverse")
-        return Scalar._make(self.r * self.p, -self.r * self.q, norm)
+        if norm < 0:
+            return _make(-self.r * self.p, self.r * self.q, -norm)
+        return _make(self.r * self.p, -self.r * self.q, norm)
 
     def __truediv__(self, other: object) -> Scalar:
         o = self._coerce(other)
@@ -248,6 +240,25 @@ class Scalar:
 
 # the slot setters, past Scalar.__setattr__, which refuses every assignment
 _set_p, _set_q, _set_r = Scalar.p.__set__, Scalar.q.__set__, Scalar.r.__set__
+
+
+def _make(p: int, q: int, r: int) -> Scalar:
+    """The Scalar (p + q sqrt2)/r of integers p, q and r > 0, in lowest terms.
+
+    The raw constructor of the arithmetic: it skips the Fraction path, and
+    the gcd when r == 1.
+    """
+    if r != 1:
+        g = gcd(p, q, r)
+        if g != 1:
+            p //= g
+            q //= g
+            r //= g
+    out = object.__new__(Scalar)
+    _set_p(out, p)
+    _set_q(out, q)
+    _set_r(out, r)
+    return out
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")

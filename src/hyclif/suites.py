@@ -76,7 +76,7 @@ from .multivector import (
     poincare_iso,
     wedge,
 )
-from .scalar import INV_SQRT2, ONE, TWO, ZERO, Scalar
+from .scalar import INV_SQRT2, ONE, TWO, ZERO, Scalar, _make
 
 SUITE_NAMES = ("contractions", "products", "hodge", "witt", "endo", "ideals")
 
@@ -86,14 +86,14 @@ SUITE_NAMES = ("contractions", "products", "hodge", "witt", "endo", "ideals")
 
 def _random_rational(rng: random.Random) -> Scalar:
     """A rational p/r with p in -8..8 and r in 1..8."""
-    return Scalar._make(rng.randint(-8, 8), 0, rng.randint(1, 8))
+    return _make(rng.randint(-8, 8), 0, rng.randint(1, 8))
 
 
 def random_scalar(rng: random.Random) -> Scalar:
     if rng.random() < 0.25:
         p, r = rng.randint(-8, 8), rng.randint(1, 8)
         q, s = rng.randint(-8, 8), rng.randint(1, 8)
-        return Scalar._make(p * s, q * r, r * s)  # p/r + (q/s) sqrt2
+        return _make(p * s, q * r, r * s)  # p/r + (q/s) sqrt2
     return _random_rational(rng)
 
 

@@ -176,6 +176,26 @@ def test_solve():
     assert inconsistent is None
 
 
+@pytest.mark.parametrize("b", [[1], [1, 2, 3], []])
+def test_solve_rejects_a_right_hand_side_of_the_wrong_length(b):
+    # solve(identity(2), [1]) was [1, 0] and solve(identity(2), [1, 2, 3]) was [1, 2]
+    with pytest.raises(ValueError, match="right-hand side"):
+        linalg.solve(linalg.identity(2), [Scalar(x) for x in b])
+    with pytest.raises(ValueError, match="right-hand side"):
+        linalg.solve([], [Scalar(x) for x in b or [0]])
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 0], [0, 1, 1]],  # row_echelon was [[0, 1], [0, 0]], dropping an entry
+    [[1, 0], [0, 1, 1]],  # kernel_basis was []
+    [[1, 0, 0], [0, 1]],
+])
+def test_elimination_rejects_ragged_rows(rows):
+    for f in (linalg.row_echelon, linalg.kernel_basis, linalg.rank):
+        with pytest.raises(ValueError, match="rectangular"):
+            f(m(rows))
+
+
 def test_mat_mul_rejects_mismatched_shapes():
     # a 2x2 times a 3x3 used to return 2x3 and drop the third row of b
     b = m([[1, 2, 3], [4, 5, 6], [7, 8, 9]])

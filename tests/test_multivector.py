@@ -9,6 +9,7 @@ transporting to the orthonormal (diagonal-metric) basis.  Expected values
 frozen in the example tests were computed with these oracles.
 """
 
+import hashlib
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
@@ -292,6 +293,48 @@ def test_gp_matches_diagonal_oracle_property(case):
     oracle = diagonal_oracle(n)
     u, v = Multivector(oracle.ctx, u_terms), Multivector(oracle.ctx, v_terms)
     assert gp(u, v) == oracle.gp(u, v)
+
+
+# sha256 of the blade tables of the four products, computed with an earlier,
+# independent derivation of the signs (per-term reorder parities rather than
+# one parity mask per pair): one line "a b: +m -m' ..." per ordered blade pair
+# (a, b), its terms in mask order
+BLADE_TABLE_SHA256 = {
+    ("gp", 1): "52b8e2f170d7988ef9724f5a98315e09f3cc538efb6a987be5ba107d593eb495",
+    ("gp", 2): "09c733158d4c63155fc6a9bf379ad1b0195aab81f0b7d1f3460e2833b1f8264f",
+    ("gp", 3): "87f62fcd5b3e396b5d6fcbf2f38d553032ba652f45a9410d0467ac68f5c5a6f5",
+    ("lcontract", 1): "50e617482b25e67ca370b5f52c0de8c3ecd0228a94c4f3dfcd5c4890ebd3a584",
+    ("lcontract", 2): "68be22d8bc0bb006ebcacdac2fe9495a983702007180ec79d275c3709a705c52",
+    ("lcontract", 3): "bf641fc9c4e7db5d53bcbf6bd7a517e09238e85fc3493fda3f0273c202ebb2de",
+    ("rcontract", 1): "310ed601a38b047161f517ec3a47945d92d913aa4ed43525dcbd1f3f5acb7957",
+    ("rcontract", 2): "2dcade3877969171847f77f7e442a2b6f02b34412b6110ad15c82bcbe82c9d45",
+    ("rcontract", 3): "a026823a087ca48881a419e9c9276f3e0efac0b5d4d942930b3a0548adf7f977",
+    ("wedge", 1): "c758762f735b38d1850a5fc06851b63e67c8a4834483ee95aad00124b223655f",
+    ("wedge", 2): "2e9d87dd4c0cbfaf277da439db50525a7a78e7e4c5d457b372b7d325a96c05ae",
+    ("wedge", 3): "2ae4cb2e5ff9398be32ca9def58060d8f9f6b57b699bb7c31f12a613a4a0cf42",
+}
+
+
+@pytest.mark.parametrize("product", [gp, lcontract, rcontract, wedge], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_blade_tables_are_pinned(product, n):
+    ctx = AlgebraContext(n)
+    rows = []
+    for a in range(1 << 2 * n):
+        for b in range(1 << 2 * n):
+            terms = sorted(product(ctx.blade(a), ctx.blade(b)).terms.items())
+            assert all(c == ONE or c == -ONE for _, c in terms)
+            rows.append(f"{a} {b}:" + "".join(f" {'-' if c.p < 0 else '+'}{m}" for m, c in terms))
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == BLADE_TABLE_SHA256[product.__name__, n]
+
+
+def test_gp_matches_diagonal_oracle_on_every_blade_pair():
+    oracle = diagonal_oracle(2)
+    ctx = oracle.ctx
+    for a in range(16):
+        for b in range(16):
+            assert gp(ctx.blade(a), ctx.blade(b)) == oracle.gp(ctx.blade(a), ctx.blade(b)), (a, b)
 
 
 @pytest.mark.parametrize("n", [8, 14])

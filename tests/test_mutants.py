@@ -1,54 +1,69 @@
 """Mutant catalogue: each plants one fault in a kernel, and the suites must catch it.
 
-A mutant monkeypatches a name that the library looks up at call time: a row
-kernel or `_witt_factors` in `multivector`, `fock._fock_term`, the sparse
-`FockMatrix` constructor, product or rank, the reversion sign,
-`Scalar._make`, or `multivector.hodge` and `multivector.hodge_inv`.  The
-expression language reaches the Hodge pair through the `multivector` module
-when it evaluates `!`, `!!`, `dual` and `idual`, so a patched kernel reaches
-every law.  The `hodge_inv` mutant drops the reversion of the orientation,
-which is the identity at n=2 (the sign of grade 4), so only n=3 catches it.
-Under each one, `run_suite("all", n, trials=3, seed=42)` must return a report
-with at least one FAIL line at n=2 or n=3, and must not raise.  A later
-change that plants a new kind of kernel should add its mutants here.
+A mutant either monkeypatches a name that the library looks up at call time
+(`fock._fock_term`, the sparse `FockMatrix` constructor, product or rank, the
+reversion sign, the raw Scalar constructor `scalar._make` that the arithmetic
+calls, or `multivector.hodge` and `multivector.hodge_inv`), or rewrites one
+source line of a product loop (`gp`, `lcontract`, `rcontract`, `wedge`) and
+swaps the function's code object, so that every module that imported the
+function by name runs the mutant.  A mutant whose name or source line is gone
+fails the test instead of passing it.  The expression language reaches the
+Hodge pair through the `multivector` module when it evaluates `!`, `!!`, `dual`
+and `idual`, so a patched kernel reaches every law.  The `hodge_inv` mutant
+drops the reversion of the orientation, which is the identity at n=2 (the sign
+of grade 4), so only n=3 catches it.  Under each one,
+`run_suite("all", n, trials=3, seed=42)` must return a report with at least one
+FAIL line at n=2 or n=3, and must not raise.  A later change that plants a new
+kind of kernel should add its mutants here.  The ids of the product mutants
+are those of the row kernels the loops replaced.
 
-What the suites cannot see: `_odd_swaps` without its `s ^= s >> 16` step
-changes only the masks of n >= 9 (bits 16 and up), so it passes every suite,
-which stop at n=6.  Only the n=14 tests of tests/test_multivector.py
-(`test_products_on_random_blades_at_large_n[14]` and
-`test_row_kernels_agree_with_gp_grade_parts[14]`) catch it; keep them.
+What the suites cannot see: `_above` without its `s ^= s >> 16` step, or
+`_below` without its `s ^= s << 16`, changes only the wedge and contraction
+signs of masks of n >= 9 (bits 16 and up), so it passes every suite, which
+stop at n=6.  Only the n=14 tests of
+tests/test_multivector.py (`test_products_on_random_blades_at_large_n[14]` and
+`test_row_kernels_agree_with_gp_grade_parts[14]`) catch it; keep them.  The
+parity cascades inside `gp` work on the n-bit halves and stop at the 8-bit
+shift; the same two tests catch either of those steps left out.
 """
+
+import inspect
+import textwrap
 
 import pytest
 
-from hyclif import fock
+from hyclif import fock, scalar
 from hyclif import multivector as mv
 from hyclif.scalar import Scalar, _set_p, _set_q, _set_r
 from hyclif.suites import run_suite
 
 
-def _witt_factors_cross_pair_twice(ae, at, sa, be, bt, sb):
-    """Counts the e E / E t cross-pair term of the sign twice."""
-    re, rt, fork, te, odd = _WITT_FACTORS(ae, at, sa, be, bt, sb)
-    return re, rt, fork, te, odd + (ae & bt & (at ^ be)).bit_count()
+def _rewritten(fn, old, new):
+    """fn's code with the one source line holding `old` changed to hold `new`."""
+    lines = textwrap.dedent(inspect.getsource(fn)).splitlines(keepends=True)
+    hits = [i for i, line in enumerate(lines) if old in line]
+    assert len(hits) == 1, f"{old!r} is on {len(hits)} lines of {fn.__name__}, not 1"
+    lines[hits[0]] = lines[hits[0]].replace(old, new)
+    first = fn.__code__.co_firstlineno
+    code = compile("\n" * (first - 1) + "".join(lines), fn.__code__.co_filename, "exec")
+    namespace = dict(fn.__globals__)
+    exec(code, namespace)
+    return namespace[fn.__name__].__code__
 
 
-def _product_row_first_term_only(ae, at, sa, vs, n):
-    """Keeps one term per blade pair: a fork pair e t loses its E part."""
-    for cb, terms in _PRODUCT_ROW(ae, at, sa, vs, n):
-        yield cb, terms[:1]
-
-
-def _left_row_unsigned(ae, at, sa, vs, n):
-    """Drops the sign of every left contraction term."""
-    for cb, terms in _LEFT_ROW(ae, at, sa, vs, n):
-        yield cb, tuple((m, 0) for m, _ in terms)
-
-
-def _wedge_row_commutative(ae, at, sa, vs, n):
-    """Merges disjoint blades without their reorder sign."""
-    for cb, terms in _WEDGE_ROW(ae, at, sa, vs, n):
-        yield cb, tuple((m, 0) for m, _ in terms)
+# (product, source text, mutated text)
+REWRITES = {
+    # counts the e E / E t cross-pair term of the sign twice
+    "witt_factors": (mv.gp, "^ (ae & bt & (at ^ be)) ^", "^ (ae & bt & (at ^ be)) ^ (ae & bt & (at ^ be)) ^"),
+    # keeps one term per blade pair: a fork pair e t loses its E part
+    "product_row": (mv.gp, "if not s:", "if True:"),
+    # drops the sign of every left contraction term
+    "left_row": (mv.lcontract, "if (odd + (hd & mb).bit_count()) & 1 else", "if 0 else"),
+    # the right contraction with the left one's reject test: a's dual inside b
+    "right_row": (mv.rcontract, "if d & ~ma:", "if (ma >> n | (ma & low) << n) & ~mb:"),
+    # merges disjoint blades without their reorder sign
+    "wedge_row": (mv.wedge, "if (ha & mb).bit_count() & 1 else", "if 0 else"),
+}
 
 
 def _fock_term_pair_sign(a, s, n):
@@ -99,34 +114,26 @@ def _hodge_inv_unreversed(u):
     return mv.rcontract(u.context.orientation(), u.reversion())
 
 
-def _make_without_gcd(cls, p, q, r):
-    """Normalizes the sign of the denominator but never divides out the gcd."""
-    if r < 0:
-        p, q, r = -p, -q, -r
-    self = object.__new__(cls)
-    _set_p(self, p)
-    _set_q(self, q)
-    _set_r(self, r)
-    return self
+def _make_without_gcd(p, q, r):
+    """Builds the Scalar (p + q sqrt2)/r as given, never dividing out the gcd."""
+    out = object.__new__(Scalar)
+    _set_p(out, p)
+    _set_q(out, q)
+    _set_r(out, r)
+    return out
 
 
-_WITT_FACTORS, _PRODUCT_ROW = mv._witt_factors, mv._product_row
-_LEFT_ROW, _WEDGE_ROW, _FOCK_TERM = mv._left_row, mv._wedge_row, fock._fock_term
-_FOCK_INIT, _FOCK_MUL = fock.FockMatrix.__init__, fock.FockMatrix.__mul__
+_FOCK_TERM, _FOCK_INIT, _FOCK_MUL = fock._fock_term, fock.FockMatrix.__init__, fock.FockMatrix.__mul__
 
-# (id, owner, attribute, mutant)
+# (id, owner, attribute, mutant); a rewrite's mutant is its (source text, mutated text)
 MUTANTS = [
-    ("witt_factors", mv, "_witt_factors", _witt_factors_cross_pair_twice),
-    ("product_row", mv, "_product_row", _product_row_first_term_only),
-    ("left_row", mv, "_left_row", _left_row_unsigned),
-    ("right_row", mv, "_right_row", mv._left_row),  # the mirror kernel's reject test
-    ("wedge_row", mv, "_wedge_row", _wedge_row_commutative),
+    *((name, fn, "__code__", (old, new)) for name, (fn, old, new) in REWRITES.items()),
     ("fock_term", fock, "_fock_term", _fock_term_pair_sign),
     ("fock_matrix_init", fock.FockMatrix, "__init__", _fock_matrix_last_entry_wins),
     ("fock_matrix_mul", fock.FockMatrix, "__mul__", _fock_matrix_mul_reversed),
     ("fock_matrix_rank", fock.FockMatrix, "rank", _fock_matrix_rank_counts_rows),
     ("reversion", mv.Multivector, "reversion", _reversion_off_by_one),
-    ("scalar_make", Scalar, "_make", classmethod(_make_without_gcd)),
+    ("scalar_make", scalar, "_make", _make_without_gcd),
     ("hodge", mv, "hodge", _hodge_unreversed),
     ("hodge_inv", mv, "hodge_inv", _hodge_inv_unreversed),
 ]
@@ -134,6 +141,8 @@ MUTANTS = [
 
 @pytest.mark.parametrize("owner, attr, mutant", [m[1:] for m in MUTANTS], ids=[m[0] for m in MUTANTS])
 def test_suites_catch_mutant(monkeypatch, owner, attr, mutant):
+    if attr == "__code__":
+        mutant = _rewritten(owner, *mutant)
     monkeypatch.setattr(owner, attr, mutant)
     fails = {}
     for n in (2, 3):

@@ -1,9 +1,10 @@
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from hyclif.scalar import INV_SQRT2, ONE, SQRT2, ZERO, Scalar, format_scalar
+from hyclif.scalar import INV_SQRT2, ONE, SQRT2, ZERO, Scalar, _make, format_scalar
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 # small values share factors often; the wide ones pass 2^64
@@ -142,17 +143,43 @@ def triple(s):
     return s.p, s.q, s.r
 
 
-@given(integers, integers, integers.filter(bool))
-@example(0, 0, -7)
-@example(6, -4, -2)
-@example(2**64 + 2, 0, -(2**65))
-def test_fast_construction_matches_fraction_path(p, q, r):
-    # _make, negation and Scalar(int, int) skip the Fraction path; each must
+def fraction_path(op, a, b):
+    """a op b computed on the Fraction parts, then normalized by the constructor."""
+    (x, y), (z, w) = (a.rat_part, a.sqrt2_part), (b.rat_part, b.sqrt2_part)
+    if op is operator.mul:
+        return Scalar(x * z + 2 * y * w, x * w + y * z)
+    return Scalar(op(x, z), op(y, w))
+
+
+@given(integers, integers, integers.filter(bool), integers, integers, integers.filter(bool))
+@example(0, 0, -7, 0, 0, 1)
+@example(6, -4, -2, 3, 0, 4)
+@example(2**64 + 2, 0, -(2**65), -5, 1, 6)
+@example(1, 1, 1, -1, -1, 1)  # the r == 1 sum cancels
+def test_fast_construction_matches_fraction_path(p, q, r, p2, q2, r2):
+    # _make, negation and Scalar(int, int) skip the Fraction path, and the
+    # arithmetic skips the gcd at r == 1, the cross-multiplication at equal
+    # denominators and, in the inverse, the sign of the denominator; each must
     # give the normalized triple that path gives
-    expected = Scalar(Fraction(p, r), Fraction(q, r))
-    made = Scalar._make(p, q, r)
+    d = abs(r)
+    expected = Scalar(Fraction(p, d), Fraction(q, d))
+    made = _make(p, q, d)
     assert triple(made) == triple(expected)
-    assert triple(-made) == triple(Scalar(Fraction(-p, r), Fraction(-q, r)))
+    assert triple(-made) == triple(Scalar(Fraction(-p, d), Fraction(-q, d)))
     assert triple(Scalar(p, q)) == triple(Scalar(Fraction(p), Fraction(q)))
     assert triple(Scalar(p)) == triple(Scalar(Fraction(p)))
     assert all(type(x) is int for x in triple(made) + triple(-made) + triple(Scalar(p, q)))
+    if made:
+        x, y = made.rat_part, made.sqrt2_part
+        norm = x * x - 2 * y * y
+        assert triple(made.inverse()) == triple(Scalar(x / norm, -y / norm))
+    # p d + 1 and d are coprime, so both operands of the second pair keep r == d
+    pairs = [
+        (Scalar(p, q), Scalar(p2, q2)),
+        (_make(p * d + 1, q * d, d), _make(p2 * d - 1, q2 * d, d)),
+        (made, _make(p2, q2, abs(r2))),
+    ]
+    assert pairs[0][0].r == pairs[0][1].r == 1 and pairs[1][0].r == pairs[1][1].r == d
+    for a, b in pairs:
+        for op in (operator.mul, operator.add, operator.sub):
+            assert triple(op(a, b)) == triple(fraction_path(op, a, b))
