@@ -7,7 +7,6 @@ Exit codes: 0 success / all identities pass, 1 evaluation or parse error,
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from typing import Sequence, TextIO
@@ -74,6 +73,8 @@ def _cmd_eval(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVAL
     if args.json:
+        import json
+
         print(json.dumps(value.to_json()))
     else:
         print(value)

@@ -27,11 +27,9 @@ geometric product and is mandatory between non-literal factors.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import multivector as _mv
-from .hyperspace import sigma_vector
 from .multivector import AlgebraContext, Multivector, _owned, _require_same_context
 from .scalar import Scalar, _make, format_scalar
 
@@ -48,28 +46,73 @@ class ParseError(ValueError):
 
 # -- AST ------------------------------------------------------------------------
 
+# Each node is immutable, and compares, hashes and prints over its fields in
+# the order of __slots__, as a frozen dataclass would; the classes are written
+# out so that the eval path does not import dataclasses (and with it inspect).
+_set = object.__setattr__  # past _Node.__setattr__, which refuses every assignment
 
-@dataclass(frozen=True)
-class Lit:
+
+class _Node:
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Lit(_Node):
+    __slots__ = ("value",)
     value: Scalar
 
+    def __init__(self, value: Scalar) -> None:
+        _set(self, "value", value)
 
-@dataclass(frozen=True)
-class Atom:
+
+class Atom(_Node):
+    __slots__ = ("name",)
     name: str
 
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
 
-@dataclass(frozen=True)
-class Unary:
+
+class Unary(_Node):
+    __slots__ = ("op", "arg")
     op: str
-    arg: "Expr"
+    arg: Expr
+
+    def __init__(self, op: str, arg: Expr) -> None:
+        _set(self, "op", op)
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(_Node):
+    __slots__ = ("op", "left", "right")
     op: str
-    left: "Expr"
-    right: "Expr"
+    left: Expr
+    right: Expr
+
+    def __init__(self, op: str, left: Expr, right: Expr) -> None:
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     # a flat chain like a + b + c nests to the left as deep as it is long, so
     # compare, hash and print walk the left spine in a loop, as evaluate does
@@ -102,10 +145,14 @@ class Binary:
         return "".join(head) + repr(node) + "".join(reversed(tail))
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(_Node):
+    __slots__ = ("fn", "args")
     fn: str
-    args: tuple["Expr", ...]
+    args: tuple[Expr, ...]
+
+    def __init__(self, fn: str, args: tuple[Expr, ...]) -> None:
+        _set(self, "fn", fn)
+        _set(self, "args", args)
 
 
 Expr = Lit | Atom | Unary | Binary | Call
@@ -434,7 +481,11 @@ def _atom_definition(name: str, ctx: AlgebraContext) -> Multivector | None:
         return ctx.e(num)
     if kind == "t":
         return ctx.t(num)
-    return sigma_vector(ctx, num).to_multivector()
+    # the first s<k> atom loads hyperspace, and each reads sigma_vector from
+    # its module, so eval and repl without one load neither it nor linalg
+    from . import hyperspace
+
+    return hyperspace.sigma_vector(ctx, num).to_multivector()
 
 
 def eval_source(

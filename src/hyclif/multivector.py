@@ -24,14 +24,16 @@ no Python helper runs per pair or per term.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator, TypeAlias
 
-from .scalar import ONE, ZERO, Scalar, format_scalar
+from .scalar import ONE, ZERO, Scalar, _is_fraction, format_scalar
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MAX_DIM = 14  # masks fit in 28 bits; _above and _below cover 32
 
-ScalarLike = Scalar | int | Fraction
+ScalarLike: TypeAlias = "Scalar | int | Fraction"
 
 
 class ContextMismatchError(ValueError):
@@ -134,12 +136,17 @@ class AlgebraContext:
         return _owned(self, {0: s} if s else {})
 
     def blade(self, mask: int, coeff: ScalarLike = ONE) -> Multivector:
-        if not 0 <= mask <= self.full_mask:
-            raise ValueError(f"blade mask out of range: {mask:#x}")
+        if type(mask) is not int or not 0 <= mask <= self.full_mask:
+            raise ValueError(f"blade mask must be an int in 0..{self.full_mask:#x}, got {mask!r}")
         s = coeff if isinstance(coeff, Scalar) else Scalar(coeff)
         return _owned(self, {mask: s} if s else {})
 
     def generator(self, g: int) -> Multivector:
+        """Generator g (0-based): e1..en, then t1..tn."""
+        if type(g) is not int or not 0 <= g < self.num_generators:
+            raise ValueError(
+                f"generator index must be an int in 0..{self.num_generators - 1}, got {g!r}"
+            )
         return self.blade(1 << g)
 
     def e(self, k: int) -> Multivector:
@@ -234,7 +241,7 @@ class Multivector:
         if isinstance(other, Multivector):
             _require_same_context(self, other)
             return other
-        if isinstance(other, (Scalar, int, Fraction)):
+        if isinstance(other, (Scalar, int)) or _is_fraction(other):
             return self.context.scalar(other)
         return None
 
@@ -285,29 +292,33 @@ class Multivector:
             return self.context.zero()
         return _owned(self.context, {m: s * x for m, x in self.terms.items()})
 
+    # a Fraction is tested last, so a Scalar, int or Multivector operand pays no extra test
+
     def __mul__(self, other: object) -> Multivector:
-        if isinstance(other, (Scalar, int, Fraction)):
+        if isinstance(other, (Scalar, int)):
             return self.scale(other)
         if isinstance(other, Multivector):
             return gp(self, other)
+        if _is_fraction(other):
+            return self.scale(other)
         return NotImplemented
 
     def __rmul__(self, other: object) -> Multivector:
-        if isinstance(other, (Scalar, int, Fraction)):
+        if isinstance(other, (Scalar, int)) or _is_fraction(other):
             return self.scale(other)
         return NotImplemented
 
     def __xor__(self, other: object) -> Multivector:
         if isinstance(other, Multivector):
             return wedge(self, other)
-        if isinstance(other, (Scalar, int, Fraction)):
+        if isinstance(other, (Scalar, int)) or _is_fraction(other):
             return self.scale(other)
         return NotImplemented
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Multivector):
             return self.context is other.context and self.terms == other.terms
-        if isinstance(other, (Scalar, int, Fraction)):
+        if isinstance(other, (Scalar, int)) or _is_fraction(other):
             return self.terms == self.context.scalar(other).terms
         return NotImplemented
 

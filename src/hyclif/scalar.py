@@ -8,18 +8,35 @@ there is no floating-point mode anywhere.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+import sys
 from math import gcd
-from typing import Union
+from typing import TYPE_CHECKING, TypeAlias
 
-RatLike = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# `fractions` (with `decimal` and `numbers`) is imported only on the paths that
+# are given a Fraction or return one, so building a context does not load it
+RatLike: TypeAlias = "int | Fraction"
 
 
-def _as_fraction(x: RatLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+_HASH_MODULUS, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
+
+
+def _is_fraction(x: object) -> bool:
+    """True if x is a Fraction.
+
+    No Fraction exists before `fractions` is imported, so the test never
+    imports it.
+    """
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
+
+
+def _num_den(x: RatLike) -> tuple[int, int]:
+    """Numerator and denominator of an int or a Fraction."""
+    if isinstance(x, int) or _is_fraction(x):
+        return x.numerator, x.denominator
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
@@ -38,11 +55,11 @@ class Scalar:
             _set_q(self, sqrt2)
             _set_r(self, 1)
             return
-        a = _as_fraction(rat)
-        b = _as_fraction(sqrt2)
-        den = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
-        p = a.numerator * (den // a.denominator)
-        q = b.numerator * (den // b.denominator)
+        a, da = _num_den(rat)
+        b, db = _num_den(sqrt2)
+        den = da * db // gcd(da, db)
+        p = a * (den // da)
+        q = b * (den // db)
         g = gcd(p, q, den)
         _set_p(self, p // g)
         _set_q(self, q // g)
@@ -55,10 +72,14 @@ class Scalar:
 
     @property
     def rat_part(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.p, self.r)
 
     @property
     def sqrt2_part(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.q, self.r)
 
     # -- predicates -------------------------------------------------------
@@ -90,7 +111,7 @@ class Scalar:
     def _coerce(self, other: object) -> "Scalar | None":
         if isinstance(other, Scalar):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or _is_fraction(other):
             return Scalar(other)
         return None
 
@@ -190,9 +211,14 @@ class Scalar:
         return self.p == o.p and self.q == o.q and self.r == o.r
 
     def __hash__(self) -> int:
-        if self.q == 0:
-            return hash(Fraction(self.p, self.r))
-        return hash((self.p, self.q, self.r))
+        p, q, r = self.p, self.q, self.r
+        if q:
+            return hash((p, q, r))
+        # a rational equals its Fraction, so it hashes as one: Python's
+        # numeric hash of p/r, computed as Fraction computes it
+        if r % _HASH_MODULUS:
+            return hash(p * pow(r, -1, _HASH_MODULUS))
+        return -_HASH_INF if p < 0 else _HASH_INF
 
     def __lt__(self, other: object) -> bool:
         o = self._coerce(other)
@@ -224,7 +250,7 @@ class Scalar:
         return format_scalar(self)
 
     def __repr__(self) -> str:
-        return f"Scalar({self.rat_part}, {self.sqrt2_part})"
+        return f"Scalar({_ratio(self.p, self.r)}, {_ratio(self.q, self.r)})"
 
     def to_json(self) -> dict:
         return {"rat": _ratio(self.p, self.r), "rat_r2": _ratio(self.q, self.r)}
@@ -245,8 +271,8 @@ _set_p, _set_q, _set_r = Scalar.p.__set__, Scalar.q.__set__, Scalar.r.__set__
 def _make(p: int, q: int, r: int) -> Scalar:
     """The Scalar (p + q sqrt2)/r of integers p, q and r > 0, in lowest terms.
 
-    The raw constructor of the arithmetic: it skips the Fraction path, and
-    the gcd when r == 1.
+    The raw constructor of the arithmetic: it skips the argument checks of
+    Scalar(), and the gcd when r == 1.
     """
     if r != 1:
         g = gcd(p, q, r)
@@ -261,15 +287,18 @@ def _make(p: int, q: int, r: int) -> Scalar:
     return out
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# compiled on first use, by re's own cache, not at import
+_RATIONAL = r"-?[0-9]+(/[0-9]+)?"
 
 
 def _parse_rational(text: object) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
+    if not isinstance(text, str) or not re.fullmatch(_RATIONAL, text):
         raise ValueError(f"expected a rational string like '-3/4', got {text!r}")
     num, _, den = text.partition("/")
     if den and int(den) == 0:
         raise ValueError(f"zero denominator in {text!r}")
+    from fractions import Fraction
+
     return Fraction(int(num), int(den or 1))
 
 
@@ -298,4 +327,4 @@ ZERO = Scalar(0)
 ONE = Scalar(1)
 TWO = Scalar(2)
 SQRT2 = Scalar(0, 1)
-INV_SQRT2 = Scalar(0, Fraction(1, 2))  # 1/sqrt(2) = sqrt(2)/2
+INV_SQRT2 = _make(0, 1, 2)  # 1/sqrt(2) = sqrt(2)/2

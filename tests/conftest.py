@@ -1,9 +1,28 @@
+import json
+import os
 import random
+import subprocess
 import sys
 
 import pytest
 
+import hyclif
 from hyclif.multivector import AlgebraContext
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(hyclif.__file__)))
+
+
+def _probe(code: str):
+    """Run code in a fresh interpreter; it prints one JSON value, returned here."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="session")
+def probe():
+    return _probe
 
 
 @pytest.fixture(scope="session")

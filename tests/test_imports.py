@@ -3,15 +3,10 @@ what `exprparse` holds by value."""
 
 import inspect
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
 import hyclif
-
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(hyclif.__file__)))
 
 SUBMODULES = (
     "endo", "exprparse", "fock", "hyperspace", "ideals", "linalg", "multivector", "scalar",
@@ -38,42 +33,60 @@ REEXPORTS = {
 }
 
 
-def probe(code: str):
-    """Run code in a fresh interpreter; it prints one JSON value, returned here."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
 LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('hyclif.'))))"
 
 
-def test_import_loads_no_submodule():
+def test_import_loads_no_submodule(probe):
     assert probe(f"import json, sys\nimport hyclif\n{LOADED}") == []
 
 
-def test_context_loads_scalar_and_multivector_only():
+def test_context_loads_scalar_and_multivector_only(probe):
     code = f"import json, sys\nimport hyclif\nhyclif.AlgebraContext(3)\n{LOADED}"
     assert probe(code) == ["hyclif.multivector", "hyclif.scalar"]
 
 
-def test_eval_command_skips_the_checking_layers():
+def test_context_loads_no_fractions(probe):
+    code = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import hyclif\n"
+        "hyclif.AlgebraContext(8)\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    assert not {"fractions", "decimal", "numbers"} & set(probe(code))
+
+
+def eval_modules(probe, expr: str) -> tuple[str, list[str]]:
+    """The output of `hyclif --dim 3 eval expr` and the modules the run added."""
     code = (
         "import contextlib, io, json, runpy, sys\n"
-        "sys.argv = ['hyclif', '--dim', '3', 'eval', 'e1*t1 + s2']\n"
+        "before = set(sys.modules)\n"
+        f"sys.argv = ['hyclif', '--dim', '3', 'eval', {expr!r}]\n"
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):\n"
         "    runpy.run_module('hyclif', run_name='__main__', alter_sys=True)\n"
-        "print(json.dumps([out.getvalue(), sorted(m for m in sys.modules if m.startswith('hyclif.'))]))"
+        "print(json.dumps([out.getvalue(), sorted(set(sys.modules) - before)]))"
     )
-    out, loaded = probe(code)
+    return probe(code)
+
+
+def test_eval_command_skips_the_checking_layers(probe):
+    out, loaded = eval_modules(probe, "e1*t1 + s2")
     assert out == "1 + 1/2 r2 e2 + 1/2 r2 t2 + e1^t1\n"
     for name in ("suites", "fock", "ideals", "endo", "tables"):
         assert f"hyclif.{name}" not in loaded
 
 
-def test_public_names_resolve_to_their_definitions():
+def test_eval_loads_hyperspace_only_for_a_sigma_atom(probe):
+    out, loaded = eval_modules(probe, "2 e1*t1 - 1/2 r2 t2 * sigma + ip(e3, t3)")
+    assert out == "3 + 2e1^t1 + 1/2 r2 e1^e3^t1^t2^t3\n"
+    assert not {"dataclasses", "inspect", "hyclif.hyperspace", "hyclif.linalg",
+                "fractions"} & set(loaded)
+    _, loaded = eval_modules(probe, "s2")
+    assert {"hyclif.hyperspace", "hyclif.linalg"} <= set(loaded)
+
+
+def test_public_names_resolve_to_their_definitions(probe):
     names = [name for names in REEXPORTS.values() for name in names]
     assert len(names) + len(SUBMODULES) == 65
     code = (
@@ -93,7 +106,7 @@ def test_public_names_resolve_to_their_definitions():
     assert exported == sorted(names)
 
 
-def test_star_import_is_all_without_submodules():
+def test_star_import_is_all_without_submodules(probe):
     code = (
         "import json\n"
         "ns = {}\n"

@@ -10,6 +10,7 @@ frozen in the example tests were computed with these oracles.
 """
 
 import hashlib
+import re
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
@@ -511,6 +512,19 @@ def test_constructor_rejects_what_it_cannot_print(ctx2, terms):
     # at n = 2 the masks are 0 .. 15 and every coefficient is a Scalar
     with pytest.raises(ValueError):
         Multivector(ctx2, terms)
+
+
+@pytest.mark.parametrize("mask", [1.0, True, 16, -1], ids=["float", "bool", "mask-4^n", "negative"])
+def test_blade_refuses_what_the_constructor_refuses(ctx2, mask):
+    # a float or bool key would be stored, and fail only in a later product
+    with pytest.raises(ValueError, match=re.escape(f"must be an int in 0..0xf, got {mask!r}")):
+        ctx2.blade(mask)
+
+
+@pytest.mark.parametrize("g", [-1, 4, 1.0, True], ids=["negative", "2n", "float", "bool"])
+def test_generator_refuses_an_index_outside_0_to_2n(ctx2, g):
+    with pytest.raises(ValueError, match=re.escape(f"must be an int in 0..3, got {g!r}")):
+        ctx2.generator(g)
 
 
 def test_constructor_copies_and_drops_zeros(ctx2):

@@ -349,6 +349,22 @@ def test_ast_repr_and_equality_keep_the_dataclass_form(ctx2):
     assert hash(node) == hash(parse("e1 + t1 - e2", ctx2))
 
 
+def test_ast_nodes_are_immutable_and_compare_by_class(ctx2):
+    node = parse("-(e1 ^ ip(t1, 2 e2))", ctx2)  # Unary, Binary, Atom, Call, Lit
+    call = node.arg.right
+    for part, field in ((node, "op"), (node.arg, "left"), (node.arg.left, "name"),
+                        (call, "args"), (call.args[1].left, "value")):
+        with pytest.raises(AttributeError):
+            setattr(part, field, None)
+        with pytest.raises(AttributeError):
+            delattr(part, field)
+    assert unparse(node) == "-(e1 ^ ip(t1, 2 * e2))"
+    # equal fields, different classes
+    assert Atom("e1") != Lit("e1") and Lit("e1") != Atom("e1")
+    assert Unary("f", Atom("e1")) != Call("f", Atom("e1"))
+    assert len({Atom("e1"), Lit("e1"), Atom("e1")}) == 2
+
+
 def test_sums_accumulate_exactly(ctx2, ctx3):
     assert eval_source("e1 - e1 + t1 - t1", ctx2) == 0
     assert eval_source("e1 + t1 - (e1 + t1) * e2 + e1*e2 - e1", ctx2) == eval_source("t1 - t1*e2", ctx2)

@@ -95,6 +95,29 @@ def test_int_and_fraction_interop():
     assert Scalar(1) / 2 == Scalar(Fraction(1, 2))
     assert Scalar(3) == 3
     assert hash(Scalar(3)) == hash(Fraction(3))
+    # a rational Scalar hashes as its Fraction, without building one
+    for f in (Fraction(1, 2), Fraction(-7, 3), Fraction(-1), Fraction(10**30 + 1, 7),
+              Fraction(-3, 2**61 - 1), Fraction(1, 2 * (2**61 - 1))):
+        assert Scalar(f) == f and hash(Scalar(f)) == hash(f)
+
+
+def test_fraction_interop_when_fractions_is_imported_after_hyclif(probe):
+    # building a context does not import fractions; a Fraction given later
+    # is still accepted everywhere an int is
+    code = (
+        "import json, sys\n"
+        "from hyclif.multivector import AlgebraContext\n"
+        "from hyclif.scalar import Scalar\n"
+        "u = AlgebraContext(2).e(1)\n"
+        "loaded = 'fractions' in sys.modules\n"
+        "from fractions import Fraction\n"
+        "s = Scalar(1, Fraction(1, 3))\n"
+        "print(json.dumps([loaded, (s.p, s.q, s.r), Scalar(1) == Fraction(1), Fraction(1) == Scalar(1),\n"
+        "                  hash(Scalar(Fraction(1, 2))) == hash(Fraction(1, 2)),\n"
+        "                  str(u * Fraction(1, 2)), str(Fraction(1, 2) * u),\n"
+        "                  type(s.rat_part).__name__, str(s.sqrt2_part)]))"
+    )
+    assert probe(code) == [False, [3, 1, 3], True, True, True, "1/2 e1", "1/2 e1", "Fraction", "1/3"]
 
 
 def test_format():

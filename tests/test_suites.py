@@ -13,6 +13,14 @@ def test_readme_law_count_matches_the_registry():
     assert re.findall(r"\((\d+) of the (\d+)\)", readme) == [(str(laws), str(len(IDENTITIES)))]
 
 
+def test_readme_export_count_matches_all():
+    import hyclif
+
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    counts = re.findall(r"the (\d+)\s+re-exported functions and classes", readme)
+    assert counts == [str(len(hyclif.__all__))]
+
+
 def test_unknown_suite():
     with pytest.raises(ValueError):
         run_suite("bogus", 1)
